@@ -5,8 +5,7 @@
 //! ledger and leaves the other `n − 1` untouched. Per-successor cost under a value-semantics
 //! instance representation is Θ(n) (clone every relation, re-canonicalise every relation);
 //! under the copy-on-write representation it is O(1) amortised. Sweeping `n` with a fixed
-//! search budget therefore measures exactly the representation effect — `threads = 1` keeps
-//! parallelism out of the picture.
+//! search budget therefore measures exactly the representation effect.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rdms_checker::{Explorer, ExplorerConfig};
@@ -20,9 +19,6 @@ fn bench_wide_relations(c: &mut Criterion) {
         let config = ExplorerConfig {
             depth: 5,
             max_configs: 20_000,
-            // pin to the sequential engine: these suites gate against the committed
-            // baseline, which must measure the same code path on every runner
-            threads: 1,
             ..Default::default()
         };
         group.bench_with_input(

@@ -16,9 +16,6 @@ fn config(emit: bool) -> ExplorerConfig {
     ExplorerConfig {
         depth: 16,
         max_configs: 100_000,
-        // pin to the sequential engine: these suites gate against the committed baseline,
-        // which must measure the same code path on every runner
-        threads: 1,
         ..Default::default()
     }
     .with_emit_certificate(emit)

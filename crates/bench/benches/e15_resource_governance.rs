@@ -1,7 +1,5 @@
-//! E15 — resource governance: what the memory governor and the checkpoint/resume
-//! machinery cost, and what resume buys over replay.
-//!
-//! Three questions, each with a committed lock:
+//! E15 — resource governance: what the memory governor and search checkpoints cost, and
+//! what boot recovery costs.
 //!
 //! * `session_check_governed/{off,on}` — one depth-1024 incremental check bare (`off`)
 //!   vs with the per-request work the governed server adds on top of it (`on`): reading
@@ -9,27 +7,19 @@
 //!   is exactly what `rdms-serve` does after every request under `--memory-budget-mb`.
 //!   The baseline locks `on ≤ 1.25 × off` — governance must stay a bounded surcharge on
 //!   the hot path, like certificates (E13) and journaling (E14) before it.
-//! * `snapshot/1024` — capturing a [`SessionSnapshot`] of a depth-1024 session and
-//!   serializing it to the checkpoint's JSON form. This is the drain-time cost of
-//!   checkpointing; it is O(run length) and paid once per drain, never per check.
-//! * `resume/1024` vs `replay/1024` — rebuilding the same depth-1024 session from its
-//!   snapshot vs re-checking every transaction from scratch. The baseline locks
-//!   `resume ≤ 1.0 × replay`: a resume that is not at least as fast as replay would
-//!   make checkpoints pointless, since full journal replay is always available and
-//!   self-validating.
+//! * `replay/1024` — rebuilding a depth-1024 session by re-checking every transaction
+//!   from scratch: the work boot recovery does per journaled session.
 //! * `search/{plain,checkpointed}` — one full bounded-explorer invariant search bare vs
 //!   with [`CheckpointPolicy::every`] snapshotting the live frontier as it runs. The
 //!   baseline locks `checkpointed ≤ 1.25 × plain`: cooperative checkpoint *emission*
 //!   must stay a bounded surcharge on the search it protects, exactly like certificate
 //!   emission (E13).
 //!
-//! [`SessionSnapshot`]: rdms_serve::journal::SessionSnapshot
 //! [`CheckpointPolicy::every`]: rdms_checker::CheckpointPolicy::every
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rdms_checker::{CheckpointPolicy, Explorer, ExplorerConfig};
 use rdms_db::{Query, RelName};
-use rdms_serve::journal::SessionSnapshot;
 use rdms_serve::{CheckOutcome, Session};
 use rdms_workloads::audit;
 use rdms_workloads::streams::{wire_transaction, TransactionStream};
@@ -123,32 +113,11 @@ fn bench_governed_check(c: &mut Criterion) {
     group.finish();
 }
 
-/// Drain-time checkpoint capture and the resume-vs-replay race it enables.
-fn bench_checkpoint_and_resume(c: &mut Criterion) {
+/// Boot recovery's per-session work: full replay of the session's transactions.
+fn bench_replay(c: &mut Criterion) {
     let script = transactions(LEN, 7);
-    let mut session = open_session();
-    advance(&mut session, &script);
-    let snapshot = session.snapshot();
-
     let mut group = c.benchmark_group("e15_resource_governance");
     group.sample_size(10);
-
-    group.bench_with_input(BenchmarkId::new("snapshot", LEN), &LEN, |bench, _| {
-        bench.iter(|| {
-            let snapshot = session.snapshot();
-            serde_json::to_string(&snapshot).expect("snapshots serialize")
-        })
-    });
-
-    group.bench_with_input(BenchmarkId::new("resume", LEN), &LEN, |bench, _| {
-        bench.iter(|| {
-            let resumed =
-                Session::resume(snapshot.clone()).expect("a live session's snapshot resumes");
-            assert_eq!(resumed.transactions(), LEN);
-            resumed
-        })
-    });
-
     group.bench_with_input(BenchmarkId::new("replay", LEN), &LEN, |bench, _| {
         bench.iter(|| {
             let mut session = open_session();
@@ -170,9 +139,6 @@ fn bench_search_checkpoint_overhead(c: &mut Criterion) {
     let config = || ExplorerConfig {
         depth: 3,
         max_configs: 10_000,
-        // pin to the sequential engine: checkpointed searches always run sequentially,
-        // so the plain leg must measure the same code path
-        threads: 1,
         ..Default::default()
     };
 
@@ -203,36 +169,10 @@ fn bench_search_checkpoint_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// The resume path must land on the same state as the uninterrupted session — asserted
-/// once outside the timing loops so a broken resume cannot hide behind fast numbers.
-fn assert_resume_is_exact(snapshot: &SessionSnapshot, original: &Session) {
-    let resumed = Session::resume(snapshot.clone()).expect("snapshot resumes");
-    assert_eq!(resumed.transactions(), original.transactions());
-    assert_eq!(resumed.memory_bytes(), original.memory_bytes());
-}
-
-fn bench_resume_exactness(c: &mut Criterion) {
-    // piggy-back the oracle on the harness so `cargo bench` exercises it every run;
-    // criterion requires at least one measurement, so time the cheap accessor
-    let script = transactions(64, 7);
-    let mut session = open_session();
-    advance(&mut session, &script);
-    let snapshot = session.snapshot();
-    assert_resume_is_exact(&snapshot, &session);
-
-    let mut group = c.benchmark_group("e15_resource_governance");
-    group.sample_size(10);
-    group.bench_function("memory_bytes", |bench| {
-        bench.iter(|| session.memory_bytes())
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_governed_check,
-    bench_checkpoint_and_resume,
-    bench_search_checkpoint_overhead,
-    bench_resume_exactness
+    bench_replay,
+    bench_search_checkpoint_overhead
 );
 criterion_main!(benches);

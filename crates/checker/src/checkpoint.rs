@@ -1,12 +1,11 @@
 //! Cooperative checkpoint/resume for long explorer searches.
 //!
-//! A [`SearchCheckpoint`] is a serialisable snapshot of a sequential search's resumable
-//! state: the seen-set as a canonical-key → min-depth map, the frontier in stack order,
+//! A [`SearchCheckpoint`] is a serialisable snapshot of a search's resumable state: the seen-set as a canonical-key → min-depth map, the frontier in stack order,
 //! and the progress counters. Capturing one is **cooperative** — the search writes a
 //! snapshot into the [`CheckpointPolicy`] slot at a configurable admission cadence and
 //! again when it stops for any reason (completion, cancellation, a `max_configs` or
-//! memory cutoff) — so a caller that cancels a long verification, or a service that is
-//! draining for a restart, always holds a checkpoint no older than the cadence.
+//! memory cutoff) — so a caller that cancels a long verification always holds a
+//! checkpoint no older than the cadence.
 //!
 //! Resuming ([`crate::Explorer::check_invariant_from`], [`crate::Explorer::check_from`])
 //! re-interns the seen keys under the resuming search's interner (ids are interner-local;
@@ -15,8 +14,7 @@
 //! statistics are equivalent to the uninterrupted run, which the property suite checks
 //! by cutting searches at random points.
 //!
-//! Checkpointing forces the sequential engine (a parallel frontier has no serialisable
-//! stack order) and is mutually exclusive with certificate recording — a resumed search
+//! Checkpointing is mutually exclusive with certificate recording — a resumed search
 //! cannot prove closure over states expanded before the cut.
 
 use parking_lot::Mutex;
@@ -26,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
-/// A serialisable snapshot of an interrupted (or still-running) sequential search.
+/// A serialisable snapshot of an interrupted (or still-running) search.
 ///
 /// The snapshot is self-contained: canonical keys are stored by value (interner ids are
 /// process-local and deliberately **not** serialised), the frontier keeps whole run

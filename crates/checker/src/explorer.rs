@@ -21,61 +21,28 @@
 //!   **exact** for the chosen recency bound whenever the abstract state space saturates
 //!   within the exploration budget.
 //!
-//! # Parallel architecture
+//! # Search architecture
 //!
-//! All entry points route through a single `SearchDriver`: a frontier of `b`-bounded
-//! configurations processed either by the legacy depth-first loop (`threads == 1`, same
-//! visit order and statistics accounting as the original sequential explorer) or by a
-//! **work-stealing thread pool** (`threads > 1`, the default whenever the machine has more
-//! than one core). Each worker owns a deque, pushes and pops its own work LIFO, and steals
-//! FIFO from its peers when it runs dry. The worker threads themselves are spawned **once
-//! per process** and reused across searches (overlapping searches fall back to a one-off
-//! scoped spawn rather than queueing behind each other), and a `threads > 1` request whose
-//! estimated search size is below [`ExplorerConfig::parallel_threshold`] is demoted to the
-//! sequential engine — on a tiny search, distributing the frontier costs more than it
-//! saves. [`CheckStats::threads`] reports the engine that actually ran.
+//! All entry points route through a single `SearchDriver`: one depth-first loop over a
+//! stack of `b`-bounded configurations, on the calling thread. It is fully deterministic —
+//! the same request yields the same verdict, counterexample and [`CheckStats`] (apart from
+//! `elapsed`) on every run.
 //!
-//! One dedup refinement applies to *both* paths (it is what makes them agree): the seen-set
-//! records the shallowest depth per state and re-expands on strictly shallower rediscovery,
-//! where the pre-parallel explorer pruned on first arrival regardless of depth. On searches
-//! where a state is first reached deep and later shallow, `threads = 1` therefore explores
-//! a superset of what the pre-parallel explorer did (the order-independent fixpoint);
-//! everywhere else — including every trace search — it is exactly the old engine, which the
-//! `sequential_engine_reproduces_the_legacy_statistics` test pins.
-//!
-//! Three properties make the parallel search deterministic and exact:
-//!
-//! * **Interned canonical states** — deduplication probes a concurrent seen-set keyed by
-//!   `u64` ids from [`rdms_core::iso::KeyInterner`], so two isomorphic configurations are
-//!   recognised with an integer probe regardless of which worker reaches them first. The
-//!   seen-set records the *shallowest* depth at which a state was reached and re-expands a
-//!   state found again strictly shallower, so the explored state set is the depth-bounded
-//!   reachability fixpoint — independent of exploration order.
-//! * **Canonical first-violation selection** — every frontier entry carries its *canonical
-//!   path* (the successor indices chosen from the root). When workers find violations, the
-//!   search keeps the violation with the lexicographically least path and prunes only
-//!   subtrees that cannot contain a smaller one, so the selection rule never depends on
-//!   thread arrival order. For **trace searches** ([`Explorer::check`],
-//!   [`Explorer::find_witness`]) the explored prefix tree is itself scheduling-independent,
-//!   making the reported counterexample/witness fully reproducible for any fixed thread
-//!   count. For **deduplicating searches** the verdict, completeness flag and state counts
-//!   are scheduling-independent, but the *particular* counterexample run may vary across
-//!   runs: when two non-isomorphic prefixes reach isomorphic configurations, whichever is
-//!   interned first is the one that gets expanded (`threads = 1` remains exactly
-//!   reproducible).
-//! * **Race-free budget accounting** — `max_configs` admissions are claimed from a shared
-//!   atomic counter, and a search is reported incomplete only when a successor was actually
-//!   dropped (not merely because the counter happened to be full when a leaf was revisited).
-//!
-//! Under a `max_configs` budget that actually truncates the search, *which* configurations
-//! were admitted can still differ between thread counts; verdicts are deterministic
-//! whenever the search completes within budget.
+//! * **Interned canonical states** — deduplicating searches probe a seen-set keyed by `u64`
+//!   ids from [`rdms_core::iso::KeyInterner`], so two isomorphic configurations are
+//!   recognised with an integer probe.
+//! * **The min-depth fixpoint** — the seen-set records the *shallowest* depth at which a
+//!   state was reached and re-expands a state found again strictly shallower, so the
+//!   explored state set is the depth-bounded reachability fixpoint, independent of
+//!   exploration order. The revision [`Workspace`](crate::revision::Workspace) seeds
+//!   bound bumps from a saturated set on the strength of this rule.
+//! * **Exact budget accounting** — a search is reported incomplete only when a successor
+//!   was actually dropped by `max_configs` or the memory budget, not merely because the
+//!   counter happened to be full when a leaf was revisited.
 
 use crate::checkpoint::{CheckpointPolicy, SearchCheckpoint};
-use crate::pool;
 use crate::request::{CheckRequest, CheckTarget};
 use crate::verdict::{CheckStats, CutoffReason, Verdict};
-use parking_lot::Mutex;
 use rdms_core::iso::{canonical_config_key, intern_canonical_config_in};
 use rdms_core::{
     commit, BConfig, CancelToken, Dms, EdgeMap, ExtendedRun, KeyInterner, RecencySemantics,
@@ -85,24 +52,9 @@ use rdms_db::metrics::{record_into, SearchCounters};
 use rdms_db::{answers, DataValue, HeapSize, Query};
 use rdms_logic::msofo::{eval_sentence, MsoFo};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The number of worker threads used when [`ExplorerConfig`] does not pin one: the machine's
-/// available parallelism (`1` if it cannot be determined).
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Default for [`ExplorerConfig::parallel_threshold`]: a multi-threaded search whose
-/// estimated size (branching^depth, capped by `max_configs`) is below this many
-/// configurations runs on the sequential engine instead — distributing a few hundred
-/// successor computations costs more than it saves.
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 4096;
 
 /// Exploration budget.
 #[derive(Clone, Debug)]
@@ -111,21 +63,6 @@ pub struct ExplorerConfig {
     pub depth: usize,
     /// Maximum number of configurations generated before giving up.
     pub max_configs: usize,
-    /// Number of worker threads processing the frontier.
-    ///
-    /// Defaults to the machine's available parallelism ([`default_threads`]). `1` runs the
-    /// legacy sequential depth-first loop — same visit order and statistics accounting as
-    /// the pre-parallel explorer, except that deduplication re-expands states re-reached at
-    /// strictly shallower depth (see the module docs). Any larger value runs the
-    /// work-stealing pool, whose verdicts are deterministic (first violation in canonical
-    /// prefix order) but whose diagnostic statistics (`prefixes_checked`, `peak_frontier`,
-    /// …) may vary run to run.
-    pub threads: usize,
-    /// Estimated search size below which a `threads > 1` request still runs the sequential
-    /// engine (the adaptive fallback; `0` disables it and always honours `threads`). The
-    /// estimate is `(Σ_actions b^|params|)^depth`, capped by `max_configs`. The engine that
-    /// actually ran is reported in [`CheckStats::threads`].
-    pub parallel_threshold: usize,
     /// The canonical-key interner this search deduplicates through. `None` (the default)
     /// uses [`KeyInterner::global`], which retains every key ever interned for the lifetime
     /// of the process — the right trade for repeated searches over the same state space.
@@ -143,10 +80,10 @@ pub struct ExplorerConfig {
     /// (no depth or budget cutoff) — a `Safe` closure proof over the committed state set.
     /// The certificate is independently checkable by the engine-free `rdms-cert` crate.
     pub emit_certificate: bool,
-    /// Cooperative cancellation: when set, every worker loop (sequential and parallel)
-    /// polls the token once per expanded configuration and stops the search cleanly when
-    /// it fires. A cancelled search reports itself cancelled, its verdicts
-    /// claim `complete: false`, and no `Safe` certificate is emitted — exactly the
+    /// Cooperative cancellation: when set, the search loop polls the token once per
+    /// expanded configuration and stops the search cleanly when it fires. A cancelled
+    /// search reports itself cancelled, its verdicts claim `complete: false`, and no
+    /// `Safe` certificate is emitted — exactly the
     /// incomplete-exploration semantics of a budget cutoff, but driven by wall-clock
     /// deadlines ([`with_deadline`](Self::with_deadline)) or an external
     /// [`cancel`](rdms_core::CancelToken::cancel) instead of a configuration count.
@@ -163,12 +100,11 @@ pub struct ExplorerConfig {
     /// [`KeyInterner::heap_bytes`](rdms_core::KeyInterner::heap_bytes) and are *not*
     /// double-counted here.
     pub memory_budget_bytes: Option<usize>,
-    /// Cooperative checkpointing (default `None`). When set, the search runs on the
-    /// sequential engine regardless of [`threads`](Self::threads) (a parallel frontier
-    /// has no serialisable stack order), writes a [`SearchCheckpoint`] into the policy's
-    /// slot every [`CheckpointPolicy::every_configs`] admissions and once more when it
-    /// stops for any reason, and suppresses certificate recording (a resumed search
-    /// cannot prove closure over states expanded before the cut). Only run-carrying
+    /// Cooperative checkpointing (default `None`). When set, the search writes a
+    /// [`SearchCheckpoint`] of its depth-first stack into the policy's slot every
+    /// [`CheckpointPolicy::every_configs`] admissions and once more when it stops for any
+    /// reason, and suppresses certificate recording (a resumed search cannot prove
+    /// closure over states expanded before the cut). Only run-carrying
     /// searches ([`Explorer::check`], [`Explorer::check_invariant`], …) produce
     /// snapshots; state-count searches leave the slot empty.
     pub checkpoint: Option<CheckpointPolicy>,
@@ -179,8 +115,6 @@ impl Default for ExplorerConfig {
         ExplorerConfig {
             depth: 8,
             max_configs: 20_000,
-            threads: default_threads(),
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             interner: None,
             emit_certificate: false,
             cancel: None,
@@ -191,19 +125,6 @@ impl Default for ExplorerConfig {
 }
 
 impl ExplorerConfig {
-    /// This configuration with the given thread count (`0` is clamped to `1`).
-    pub fn with_threads(mut self, threads: usize) -> ExplorerConfig {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// This configuration with the given adaptive-fallback threshold (`0` disables the
-    /// fallback).
-    pub fn with_parallel_threshold(mut self, threshold: usize) -> ExplorerConfig {
-        self.parallel_threshold = threshold;
-        self
-    }
-
     /// This configuration deduplicating through the given private interner instead of the
     /// process-wide one (see [`ExplorerConfig::interner`]).
     pub fn with_interner(mut self, interner: Arc<KeyInterner>) -> ExplorerConfig {
@@ -241,7 +162,7 @@ impl ExplorerConfig {
     }
 
     /// This configuration checkpointing through the given policy (see
-    /// [`ExplorerConfig::checkpoint`]; forces the sequential engine).
+    /// [`ExplorerConfig::checkpoint`]).
     pub fn with_checkpoint(mut self, policy: CheckpointPolicy) -> ExplorerConfig {
         self.checkpoint = Some(policy);
         self
@@ -518,7 +439,7 @@ impl<'a> Explorer<'a> {
 /// A frontier entry. [`ExtendedRun`] keeps the whole run prefix (needed for trace properties
 /// and counterexamples); [`TipNode`] keeps only the tip configuration (enough for state
 /// counting, and much cheaper to clone).
-pub(crate) trait SearchNode: Clone + Send {
+pub(crate) trait SearchNode {
     /// Whether nodes of this type serialise into checkpoint frontiers; checkpoint
     /// policies are ignored entirely for node types that do not.
     const CHECKPOINTABLE: bool = false;
@@ -569,7 +490,6 @@ impl SearchNode for ExtendedRun {
 }
 
 /// The cheap node: only the tip configuration and its depth.
-#[derive(Clone)]
 pub(crate) struct TipNode {
     config: BConfig,
     depth: usize,
@@ -594,9 +514,7 @@ impl SearchNode for TipNode {
 
 /// What a [`SearchDriver`] search produced.
 pub(crate) struct SearchOutcome<N> {
-    /// The node on which the hit predicate first fired — "first" in depth-first order for
-    /// sequential searches and in canonical (lexicographic successor-index) prefix order for
-    /// parallel ones.
+    /// The node on which the hit predicate first fired, in depth-first order.
     pub hit: Option<N>,
     /// Exploration statistics.
     pub stats: CheckStats,
@@ -630,7 +548,7 @@ impl<N> SearchOutcome<N> {
     }
 }
 
-/// The stable cutoff-reason precedence shared by both engines (see
+/// The stable cutoff-reason precedence (see
 /// [`CheckStats::cutoff`]): cancellation dominates (an external command), then memory
 /// pressure (stops admission outright), then the configuration budget (merely caps the
 /// count). Several flags can be set on one search; exactly one reason is reported.
@@ -647,8 +565,8 @@ fn cutoff_reason(cancelled: bool, memory: bool, configs: bool) -> Option<CutoffR
 }
 
 /// Estimated bytes a frontier entry retains for its tip configuration: the configuration's
-/// own heap (per the [`HeapSize`] contract) plus a flat allowance for the stack/deque slot
-/// and the run spine's per-step cell.
+/// own heap (per the [`HeapSize`] contract) plus a flat allowance for the stack slot and
+/// the run spine's per-step cell.
 fn frontier_cost(config: &BConfig) -> usize {
     config.total_size() + FRONTIER_ENTRY_OVERHEAD
 }
@@ -657,8 +575,7 @@ fn frontier_cost(config: &BConfig) -> usize {
 const FRONTIER_ENTRY_OVERHEAD: usize = 64;
 
 /// The engine shared by every explorer entry point (and reused by the hybrid checker): a
-/// bounded frontier search over the `b`-bounded configuration graph, sequential or
-/// work-stealing parallel depending on [`ExplorerConfig::threads`].
+/// bounded depth-first search over the `b`-bounded configuration graph.
 pub(crate) struct SearchDriver<'a> {
     sem: RecencySemantics<'a>,
     constants: BTreeSet<DataValue>,
@@ -666,9 +583,9 @@ pub(crate) struct SearchDriver<'a> {
     dedup: bool,
 }
 
-/// How a sequential search begins: fresh from a root node, or from a checkpoint's
-/// restored seen-set and frontier.
-enum SeqStart<N> {
+/// How a search begins: fresh from a root node, or from a checkpoint's restored seen-set
+/// and frontier.
+enum Start<N> {
     Root(N),
     Resume(SearchCheckpoint),
 }
@@ -695,84 +612,17 @@ impl<'a> SearchDriver<'a> {
             .unwrap_or_else(|| KeyInterner::global())
     }
 
-    fn base_stats(&self, threads: usize) -> CheckStats {
-        CheckStats {
-            recency_bound: self.sem.bound(),
-            depth_bound: self.config.depth,
-            threads,
-            ..Default::default()
-        }
-    }
-
-    /// Run the search. Dispatches to the sequential loop for `threads <= 1` — or when the
-    /// estimated search size is below [`ExplorerConfig::parallel_threshold`] (the adaptive
-    /// fallback) — and to the work-stealing pool otherwise.
+    /// Run the search from `root`, returning the first node (in depth-first order) on
+    /// which `is_hit` fires.
     pub fn search<N, F>(&self, root: N, is_hit: F) -> SearchOutcome<N>
-    where
-        N: SearchNode,
-        F: Fn(&N) -> bool + Sync,
-    {
-        if self.effective_threads() <= 1 {
-            self.search_sequential(root, is_hit)
-        } else {
-            self.search_parallel(root, is_hit)
-        }
-    }
-
-    /// The thread count the search will actually use: the configured one, demoted to `1`
-    /// when the estimated work cannot amortise the cost of distributing it.
-    fn effective_threads(&self) -> usize {
-        // a checkpointed search must run sequentially: its snapshot is the depth-first
-        // stack, which a parallel frontier does not have
-        if self.config.checkpoint.is_some() {
-            return 1;
-        }
-        let threads = self.config.threads.max(1);
-        if threads == 1 || self.config.parallel_threshold == 0 {
-            return threads;
-        }
-        if self.estimated_work() < self.config.parallel_threshold {
-            1
-        } else {
-            threads
-        }
-    }
-
-    /// A cheap upper-bound-shaped estimate of the search size: per-configuration branching
-    /// `Σ_actions b^|params|` (every parameter ranges over the ≤ b recency-window values),
-    /// raised to the depth budget and capped by `max_configs`.
-    fn estimated_work(&self) -> usize {
-        let b = self.sem.bound().max(1);
-        let branching: usize = self
-            .sem
-            .dms()
-            .actions()
-            .iter()
-            .map(|action| b.saturating_pow(action.params().len() as u32).max(1))
-            .sum::<usize>()
-            .max(1);
-        let mut estimate = 1usize;
-        for _ in 0..self.config.depth {
-            estimate = estimate.saturating_mul(branching);
-            if estimate >= self.config.max_configs {
-                break;
-            }
-        }
-        estimate.min(self.config.max_configs)
-    }
-
-    /// The legacy sequential depth-first search. Kept callable with a non-`Sync` predicate
-    /// so engines whose evaluation state is single-threaded (the hybrid checker's encoder)
-    /// can reuse it.
-    pub fn search_sequential<N, F>(&self, root: N, is_hit: F) -> SearchOutcome<N>
     where
         N: SearchNode,
         F: FnMut(&N) -> bool,
     {
-        self.sequential_impl(SeqStart::Root(root), is_hit)
+        self.explore(Start::Root(root), is_hit)
     }
 
-    /// Continue a checkpointed sequential search: re-intern the snapshot's seen keys
+    /// Continue a checkpointed search: re-intern the snapshot's seen keys
     /// under this driver's interner (ids are interner-local, the canonical keys are the
     /// portable identity), rebuild the depth-first stack and run the identical loop. The
     /// final verdict, completeness flag and explored-set statistics are equivalent to
@@ -795,17 +645,22 @@ impl<'a> SearchDriver<'a> {
             checkpoint.dedup, self.dedup,
             "checkpoint was taken by a search with different deduplication"
         );
-        self.sequential_impl(SeqStart::Resume(checkpoint), is_hit)
+        self.explore(Start::Resume(checkpoint), is_hit)
     }
 
-    fn sequential_impl<N, F>(&self, seq_start: SeqStart<N>, mut is_hit: F) -> SearchOutcome<N>
+    fn explore<N, F>(&self, start_from: Start<N>, mut is_hit: F) -> SearchOutcome<N>
     where
         N: SearchNode,
         F: FnMut(&N) -> bool,
     {
         let start = Instant::now();
         let counters = Arc::new(SearchCounters::new());
-        let mut stats = self.base_stats(1);
+        let mut stats = CheckStats {
+            recency_bound: self.sem.bound(),
+            depth_bound: self.config.depth,
+            threads: 1,
+            ..Default::default()
+        };
         let mut depth_cutoff = false;
         let mut budget_cutoff = false;
         let mut memory_cutoff = false;
@@ -815,8 +670,7 @@ impl<'a> SearchDriver<'a> {
         // seen: interned canonical id → shallowest depth at which the state was reached.
         // Re-expanding on a strictly shallower re-visit makes the explored state set the
         // depth-bounded reachability fixpoint, independent of exploration order — the
-        // property the parallel engine (and the sequential/parallel equivalence tests)
-        // relies on.
+        // property `Workspace` bound seeding relies on.
         let mut seen: HashMap<u64, usize> = HashMap::new();
         // interned id → canonical key handle, maintained only when checkpointing a
         // deduplicating search: the serialisable identity of every seen entry
@@ -833,7 +687,7 @@ impl<'a> SearchDriver<'a> {
         let mut recording: Option<RawEdges> = (self.dedup
             && self.config.emit_certificate
             && policy.is_none()
-            && matches!(seq_start, SeqStart::Root(_)))
+            && matches!(start_from, Start::Root(_)))
         .then(HashMap::new);
 
         let mut hit = None;
@@ -841,8 +695,8 @@ impl<'a> SearchDriver<'a> {
             let _scope = record_into(&counters);
             let mut stack: Vec<(N, Option<RecordSeed>)> = Vec::new();
             let mut peak = 1usize;
-            match seq_start {
-                SeqStart::Root(root) => {
+            match start_from {
+                Start::Root(root) => {
                     let mut root_seed = None;
                     if self.dedup {
                         if recording.is_some() {
@@ -867,7 +721,7 @@ impl<'a> SearchDriver<'a> {
                     }
                     stack.push((root, root_seed));
                 }
-                SeqStart::Resume(checkpoint) => {
+                Start::Resume(checkpoint) => {
                     stats.prefixes_checked = checkpoint.prefixes_checked;
                     stats.configs_explored = checkpoint.configs_explored;
                     stats.configs_deduplicated = checkpoint.configs_deduplicated;
@@ -1040,8 +894,7 @@ impl<'a> SearchDriver<'a> {
         stats.memory_cutoff = memory_cutoff;
         stats.peak_memory_bytes = mem_used;
         stats.cutoff = cutoff_reason(cancelled, memory_cutoff, budget_cutoff);
-        let load = [(stats.configs_explored, stats.elapsed)];
-        finish_stats(&mut stats, &load, &counters);
+        finish_stats(&mut stats, &counters);
         SearchOutcome {
             hit,
             stats,
@@ -1054,7 +907,7 @@ impl<'a> SearchDriver<'a> {
         }
     }
 
-    /// Snapshot the sequential loop's resumable state. Returns `None` when the nodes do
+    /// Snapshot the search loop's resumable state. Returns `None` when the nodes do
     /// not carry runs ([`TipNode`] searches — nothing to serialise a frontier from).
     #[allow(clippy::too_many_arguments)]
     fn capture_checkpoint<N: SearchNode>(
@@ -1087,296 +940,6 @@ impl<'a> SearchDriver<'a> {
             mem_used,
             depth_cutoff,
         })
-    }
-
-    /// The work-stealing parallel search. Workers come from the process-wide lazily-spawned
-    /// [`pool`]; when the pool is busy with another search (overlapping searches from
-    /// different user threads), a one-off scoped spawn is used instead, so searches never
-    /// serialise behind each other.
-    fn search_parallel<N, F>(&self, root: N, is_hit: F) -> SearchOutcome<N>
-    where
-        N: SearchNode,
-        F: Fn(&N) -> bool + Sync,
-    {
-        let start = Instant::now();
-        let counters = Arc::new(SearchCounters::new());
-        let threads = self.config.threads.max(2);
-        let shared = Shared::new(
-            threads,
-            self.dedup,
-            self.dedup && self.config.emit_certificate,
-        );
-        let mut root_seed = None;
-        if self.dedup {
-            let _scope = record_into(&counters);
-            if shared.edges.is_some() {
-                let key = canonical_config_key(root.tip(), &self.constants);
-                let (id, handle) = self.interner().intern_handle(key);
-                root_seed = Some(RecordSeed::new(id, handle));
-                shared.seen_insert(id, 0);
-            } else {
-                shared.seen_insert(
-                    intern_canonical_config_in(self.interner(), root.tip(), &self.constants),
-                    0,
-                );
-            }
-        }
-        shared.pending.store(1, Ordering::SeqCst);
-        shared.deques[0].lock().push_back(Task {
-            path: Vec::new(),
-            node: root,
-            seed: root_seed,
-        });
-
-        let loads: Mutex<Vec<(usize, Duration)>> = Mutex::new(vec![(0, Duration::ZERO); threads]);
-        let job = |me: usize| {
-            // every worker records this search's counter traffic into the shared exact
-            // per-search counters; the guard flushes when the worker finishes, before the
-            // pool/scope join below — so the final snapshot is complete
-            let _scope = record_into(&counters);
-            let load = self.worker(me, &shared, &is_hit);
-            loads.lock()[me] = load;
-        };
-        if !pool::run(threads, &job) {
-            let job = &job;
-            std::thread::scope(|scope| {
-                for me in 0..threads {
-                    scope.spawn(move || job(me));
-                }
-            });
-        }
-        let worker_loads = loads.into_inner();
-
-        let mut stats = self.base_stats(threads);
-        stats.prefixes_checked = shared.prefixes.load(Ordering::Relaxed);
-        stats.configs_explored = shared.admitted.load(Ordering::Relaxed);
-        stats.configs_deduplicated = shared.deduped.load(Ordering::Relaxed);
-        stats.peak_frontier = shared.peak.load(Ordering::Relaxed);
-        let distinct_states = shared.seen.iter().map(|s| s.lock().len()).sum();
-        let hit = shared.best.into_inner().map(|(_, node)| node);
-        let depth_cutoff = shared.depth_cutoff.load(Ordering::Relaxed);
-        let budget_cutoff = shared.budget_cutoff.load(Ordering::Relaxed);
-        let memory_cutoff = shared.memory_cutoff.load(Ordering::Relaxed);
-        let cancelled = shared.cancelled.load(Ordering::Relaxed);
-        // lower the recording to certificate evidence only when a Safe certificate can
-        // actually be built from it (complete exploration, nothing hit)
-        let edges = match shared.edges {
-            Some(raw)
-                if hit.is_none()
-                    && !depth_cutoff
-                    && !budget_cutoff
-                    && !memory_cutoff
-                    && !cancelled =>
-            {
-                Some(lower_edges(raw.into_inner()))
-            }
-            _ => None,
-        };
-        stats.elapsed = start.elapsed();
-        stats.memory_cutoff = memory_cutoff;
-        stats.peak_memory_bytes = shared.mem_used.load(Ordering::Relaxed);
-        stats.cutoff = cutoff_reason(cancelled, memory_cutoff, budget_cutoff);
-        finish_stats(&mut stats, &worker_loads, &counters);
-        SearchOutcome {
-            hit,
-            stats,
-            depth_cutoff,
-            budget_cutoff,
-            memory_cutoff,
-            cancelled,
-            distinct_states,
-            edges,
-        }
-    }
-
-    fn worker<N, F>(&self, me: usize, shared: &Shared<N>, is_hit: &F) -> (usize, Duration)
-    where
-        N: SearchNode,
-        F: Fn(&N) -> bool + Sync,
-    {
-        /// Decrements `pending` when dropped — including when `process` panics, so the
-        /// sibling workers still observe the counter draining to zero and terminate
-        /// instead of spinning forever (the panic itself resurfaces at scope join).
-        struct PendingGuard<'g>(&'g AtomicUsize);
-        impl Drop for PendingGuard<'_> {
-            fn drop(&mut self) {
-                self.0.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-
-        let mut admitted = 0usize;
-        let mut busy = Duration::ZERO;
-        let mut idle_spins = 0u32;
-        loop {
-            // every worker polls the token independently, so a fired deadline stops the
-            // whole pool within one task per worker; the check sits before pop_task so a
-            // cancelled worker never owes a PendingGuard decrement
-            if self
-                .config
-                .cancel
-                .as_ref()
-                .is_some_and(|c| c.is_cancelled())
-            {
-                shared.cancelled.store(true, Ordering::Relaxed);
-                break;
-            }
-            match self.pop_task(me, shared) {
-                Some(task) => {
-                    idle_spins = 0;
-                    let _guard = PendingGuard(&shared.pending);
-                    let task_start = Instant::now();
-                    self.process(task, me, shared, is_hit, &mut admitted);
-                    busy += task_start.elapsed();
-                }
-                None => {
-                    if shared.pending.load(Ordering::SeqCst) == 0 {
-                        break;
-                    }
-                    // back off progressively: spin briefly (work usually reappears within
-                    // microseconds), then yield, then sleep so starved workers do not
-                    // burn a core for the rest of a narrow search
-                    idle_spins += 1;
-                    if idle_spins > 256 {
-                        std::thread::sleep(Duration::from_micros(50));
-                    } else if idle_spins > 64 {
-                        std::thread::yield_now();
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                }
-            }
-        }
-        (admitted, busy)
-    }
-
-    /// Pop from the worker's own deque (LIFO), else steal from a peer (FIFO).
-    fn pop_task<N>(&self, me: usize, shared: &Shared<N>) -> Option<Task<N>> {
-        if let Some(task) = shared.deques[me].lock().pop_back() {
-            return Some(task);
-        }
-        let n = shared.deques.len();
-        for offset in 1..n {
-            let victim = (me + offset) % n;
-            if let Some(task) = shared.deques[victim].lock().pop_front() {
-                return Some(task);
-            }
-        }
-        None
-    }
-
-    fn process<N, F>(
-        &self,
-        task: Task<N>,
-        me: usize,
-        shared: &Shared<N>,
-        is_hit: &F,
-        admitted: &mut usize,
-    ) where
-        N: SearchNode,
-        F: Fn(&N) -> bool + Sync,
-    {
-        shared.prefixes.fetch_add(1, Ordering::Relaxed);
-        // prune subtrees that cannot contain a hit smaller than the current best: every hit
-        // below `task` extends `task.path`, hence compares greater than it
-        if shared.has_hit.load(Ordering::Acquire) && shared.beaten_by_best(&task.path) {
-            return;
-        }
-        if is_hit(&task.node) {
-            shared.offer_hit(task.path, task.node);
-            return;
-        }
-        if task.node.depth() >= self.config.depth {
-            shared.depth_cutoff.store(true, Ordering::Relaxed);
-            return;
-        }
-        if shared.budget_cutoff.load(Ordering::Relaxed)
-            && shared.admitted.load(Ordering::Relaxed) >= self.config.max_configs
-        {
-            return;
-        }
-        if shared.memory_cutoff.load(Ordering::Relaxed) {
-            // the memory meter is monotone, so once an admission was refused no later
-            // one can fit; stop admitting (already-admitted nodes were still evaluated)
-            return;
-        }
-        let child_depth = task.node.depth() + 1;
-        // when recording, the expanded state's interned id and canonical key arrived with
-        // the task (captured at admission time, when its canonical key was in hand — see
-        // the sequential engine); the record is published to the shared map after the loop
-        let mut record = task.seed.map(|seed| (seed, Vec::new()));
-        let successors = self
-            .sem
-            .successors(task.node.tip())
-            .expect("successor computation");
-        for (index, (step, next)) in successors.into_iter().enumerate() {
-            // claim one admission from the shared budget; a failed claim means this
-            // successor is genuinely dropped, which is exactly when the search stops being
-            // exhaustive
-            let claim = shared
-                .admitted
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                    (n < self.config.max_configs).then_some(n + 1)
-                });
-            if claim.is_err() {
-                shared.budget_cutoff.store(true, Ordering::Relaxed);
-                break;
-            }
-            if let Some(budget) = self.config.memory_budget_bytes {
-                // claim the successor's bytes against the shared budget; a failed claim
-                // means this successor is genuinely dropped — the search stops being
-                // exhaustive, exactly as with a failed max_configs claim
-                let cost = frontier_cost(&next);
-                let fits =
-                    shared
-                        .mem_used
-                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |used| {
-                            let total = used.saturating_add(cost);
-                            (total <= budget).then_some(total)
-                        });
-                if fits.is_err() {
-                    shared.memory_cutoff.store(true, Ordering::Relaxed);
-                    break;
-                }
-            }
-            *admitted += 1;
-            let mut path = task.path.clone();
-            path.push(index as u32);
-            if shared.has_hit.load(Ordering::Acquire) && shared.beaten_by_best(&path) {
-                continue;
-            }
-            let mut child_seed = None;
-            if self.dedup {
-                if let Some((_, succs)) = record.as_mut() {
-                    // one canonicalisation serves the successor record (its id), the
-                    // dedup probe and (if admitted) the child's own seed; the handle
-                    // is an Arc bump on the interner's stored key
-                    let key = canonical_config_key(&next, &self.constants);
-                    let (id, handle) = self.interner().intern_handle(key);
-                    succs.push(id);
-                    if !shared.seen_insert(id, child_depth) {
-                        shared.deduped.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    child_seed = Some(RecordSeed::new(id, handle));
-                } else {
-                    let id = intern_canonical_config_in(self.interner(), &next, &self.constants);
-                    if !shared.seen_insert(id, child_depth) {
-                        shared.deduped.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                }
-            }
-            let pending = shared.pending.fetch_add(1, Ordering::SeqCst) + 1;
-            shared.peak.fetch_max(pending, Ordering::Relaxed);
-            shared.deques[me].lock().push_back(Task {
-                path,
-                node: task.node.child(step, next),
-                seed: child_seed,
-            });
-        }
-        if let (Some(map), Some((seed, successors))) = (shared.edges.as_ref(), record) {
-            map.lock().insert(seed.id, (seed.key, successors));
-        }
     }
 }
 
@@ -1436,102 +999,9 @@ fn lower_edges(raw: RawEdges) -> EdgeMap {
         .collect()
 }
 
-/// A frontier entry of the parallel search: the node plus its canonical path (the successor
-/// indices chosen from the root), which orders hits deterministically.
-struct Task<N> {
-    path: Vec<u32>,
-    node: N,
-    seed: Option<RecordSeed>,
-}
-
-/// Number of lock shards of the concurrent seen-set.
-const SEEN_SHARDS: usize = 64;
-
-/// State shared between the workers of one parallel search.
-struct Shared<N> {
-    deques: Vec<Mutex<VecDeque<Task<N>>>>,
-    /// Tasks queued or being processed; the pool shuts down when this reaches zero.
-    pending: AtomicUsize,
-    peak: AtomicUsize,
-    admitted: AtomicUsize,
-    deduped: AtomicUsize,
-    prefixes: AtomicUsize,
-    /// Estimated frontier bytes charged so far (monotone; see
-    /// [`ExplorerConfig::memory_budget_bytes`]). Workers claim admission bytes with a
-    /// `fetch_update` against the budget, so the meter never overshoots it.
-    mem_used: AtomicUsize,
-    depth_cutoff: AtomicBool,
-    budget_cutoff: AtomicBool,
-    memory_cutoff: AtomicBool,
-    cancelled: AtomicBool,
-    has_hit: AtomicBool,
-    best: Mutex<Option<(Vec<u32>, N)>>,
-    /// interned canonical id → shallowest depth seen, sharded by id.
-    seen: Vec<Mutex<HashMap<u64, usize>>>,
-    /// certificate evidence (emit-and-dedup searches only): interned id → raw record,
-    /// filled in by whichever worker expands the state. Re-expansions overwrite with
-    /// identical content (same canonical state, same canonical successors), so contention
-    /// is the only cost. Lowered to wire form at search end, and only when a Safe
-    /// certificate will actually be emitted.
-    edges: Option<Mutex<RawEdges>>,
-}
-
-impl<N> Shared<N> {
-    fn new(threads: usize, dedup: bool, emit: bool) -> Shared<N> {
-        Shared {
-            deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: AtomicUsize::new(0),
-            peak: AtomicUsize::new(1),
-            admitted: AtomicUsize::new(0),
-            deduped: AtomicUsize::new(0),
-            prefixes: AtomicUsize::new(0),
-            mem_used: AtomicUsize::new(0),
-            depth_cutoff: AtomicBool::new(false),
-            budget_cutoff: AtomicBool::new(false),
-            memory_cutoff: AtomicBool::new(false),
-            cancelled: AtomicBool::new(false),
-            has_hit: AtomicBool::new(false),
-            best: Mutex::new(None),
-            seen: (0..if dedup { SEEN_SHARDS } else { 0 })
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            edges: emit.then(|| Mutex::new(HashMap::new())),
-        }
-    }
-
-    /// Record `id` as reached at `depth` in the shard owning it. Returns `true` if the
-    /// state must be expanded (never seen, or strictly shallower than every earlier visit).
-    fn seen_insert(&self, id: u64, depth: usize) -> bool {
-        let mut shard = self.seen[(id as usize) % SEEN_SHARDS].lock();
-        record_min_depth(&mut shard, id, depth)
-    }
-
-    /// Whether the current best hit already beats every hit reachable from `path`.
-    fn beaten_by_best(&self, path: &[u32]) -> bool {
-        match &*self.best.lock() {
-            Some((best_path, _)) => best_path.as_slice() <= path,
-            None => false,
-        }
-    }
-
-    /// Offer a hit; kept only if its path is lexicographically smaller than the current best.
-    fn offer_hit(&self, path: Vec<u32>, node: N) {
-        let mut best = self.best.lock();
-        let better = match &*best {
-            Some((best_path, _)) => path < *best_path,
-            None => true,
-        };
-        if better {
-            *best = Some((path, node));
-        }
-        self.has_hit.store(true, Ordering::Release);
-    }
-}
-
-/// The min-depth dedup rule shared by the sequential and parallel engines (their
-/// equivalence — checked by the property suite — depends on both using exactly this rule):
-/// record `id` as reached at `depth` and return `true` iff the state must be expanded,
-/// i.e. it was never seen before or this visit is strictly shallower than every earlier one.
+/// The min-depth dedup rule: record `id` as reached at `depth` and return `true` iff the
+/// state must be expanded, i.e. it was never seen before or this visit is strictly
+/// shallower than every earlier one.
 fn record_min_depth(seen: &mut HashMap<u64, usize>, id: u64, depth: usize) -> bool {
     match seen.entry(id) {
         Entry::Occupied(entry) if *entry.get() <= depth => false,
@@ -1546,19 +1016,10 @@ fn record_min_depth(seen: &mut HashMap<u64, usize>, id: u64, depth: usize) -> bo
     }
 }
 
-/// Fill in the derived statistics fields from per-worker `(admitted, busy time)` loads and
-/// this search's exact sharing/index counters (every thread that worked for the search
-/// recorded into them through a [`record_into`] scope, so the figures are exact even when
-/// unrelated searches run concurrently).
-fn finish_stats(
-    stats: &mut CheckStats,
-    worker_loads: &[(usize, Duration)],
-    counters: &SearchCounters,
-) {
-    stats.per_thread_configs_per_sec = worker_loads
-        .iter()
-        .map(|&(admitted, busy)| admitted as f64 / busy.as_secs_f64().max(1e-9))
-        .collect();
+/// Fill in the derived statistics fields from this search's exact sharing/index counters
+/// (the search recorded into them through a [`record_into`] scope, so the figures are
+/// exact even when unrelated searches run concurrently).
+fn finish_stats(stats: &mut CheckStats, counters: &SearchCounters) {
     stats.dedup_hit_rate = if stats.configs_explored == 0 {
         0.0
     } else {
@@ -1688,11 +1149,11 @@ mod tests {
 
     #[test]
     fn sequential_engine_reproduces_the_legacy_statistics() {
-        // Pin the threads=1 engine to the exact statistics of the pre-parallel explorer
-        // (recorded before the rewrite), so the sequential order provably did not change.
+        // Pin the default configuration to the exact statistics of the original explorer
+        // (recorded before the search rewrite), so the visit order provably did not change.
         let dms = example_3_1();
 
-        let explorer = Explorer::new(&dms, 2).with_config(config(3, 5_000).with_threads(1));
+        let explorer = Explorer::new(&dms, 2).with_config(config(3, 5_000));
         let verdict = explorer.check_invariant(&Query::prop(r("p")));
         assert!(!verdict.holds());
         assert_eq!(verdict.counterexample().map(|c| c.len()), Some(2));
@@ -1713,7 +1174,7 @@ mod tests {
         assert_eq!(stats.configs_explored, 4);
 
         for (b, expected) in [(1, 4), (2, 13), (3, 13)] {
-            let e = Explorer::new(&dms, b).with_config(config(3, 10_000).with_threads(1));
+            let e = Explorer::new(&dms, b).with_config(config(3, 10_000));
             let (count, saturated) = e.reachable_state_count();
             assert_eq!(count, expected, "b={b}");
             assert!(!saturated);
@@ -1721,58 +1182,28 @@ mod tests {
     }
 
     #[test]
-    fn parallel_engine_agrees_with_sequential_on_the_running_example() {
-        let dms = example_3_1();
-        for threads in [2, 4] {
-            let sequential = Explorer::new(&dms, 2).with_config(config(4, 50_000).with_threads(1));
-            let parallel =
-                Explorer::new(&dms, 2).with_config(config(4, 50_000).with_threads(threads));
-
-            let p_holds = Query::prop(r("p"));
-            assert_eq!(
-                sequential.check_invariant(&p_holds).holds(),
-                parallel.check_invariant(&p_holds).holds()
-            );
-            assert_eq!(
-                sequential.check_invariant(&Query::True).holds(),
-                parallel.check_invariant(&Query::True).holds()
-            );
-            assert_eq!(
-                sequential.reachable_state_count(),
-                parallel.reachable_state_count()
-            );
-
-            let via_seq = sequential.check(&templates::invariant(p_holds.clone()));
-            let via_par = parallel.check(&templates::invariant(p_holds.clone()));
-            assert_eq!(via_seq.holds(), via_par.holds());
-            assert_eq!(via_par.stats().threads, threads);
-            assert_eq!(via_par.stats().per_thread_configs_per_sec.len(), threads);
-        }
-    }
-
-    #[test]
-    fn parallel_counterexamples_are_deterministic() {
-        // The property has many violating prefixes. For trace searches the parallel engine
-        // must always report the one with the lexicographically least canonical path,
-        // regardless of scheduling (the explored prefix tree is scheduling-independent).
-        let dms = example_3_1();
-        let explorer = Explorer::new(&dms, 2).with_config(config(4, 50_000).with_threads(4));
-        let property = templates::invariant(Query::prop(r("p")));
-        let first = explorer.check(&property);
-        let cex = first.counterexample().expect("violated").clone();
-        assert!(RecencySemantics::new(&dms, 2).is_b_bounded(&cex));
-        for _ in 0..5 {
-            let again = explorer.check(&property);
-            assert_eq!(again.counterexample(), Some(&cex));
-        }
-
-        // for deduplicating searches only the verdict is guaranteed scheduling-independent;
-        // the counterexample must still be a genuine violating b-bounded run every time
-        for _ in 0..3 {
-            let verdict = explorer.check_invariant(&Query::prop(r("p")));
-            let cex = verdict.counterexample().expect("violated");
-            assert!(!cex.last().instance().proposition(r("p")));
-            assert!(RecencySemantics::new(&dms, 2).is_b_bounded(cex));
+    fn repeated_runs_report_identical_statistics() {
+        // the search is one deterministic loop: two runs over separately built copies of
+        // the system (so neither inherits relation caches the other warmed) agree on
+        // every statistic but the wall clock
+        let stats = |trace: bool| {
+            let dms = example_3_1();
+            let explorer = Explorer::new(&dms, 2).with_config(ExplorerConfig {
+                depth: 4,
+                ..ExplorerConfig::default()
+            });
+            let verdict = if trace {
+                explorer.check(&templates::invariant(Query::prop(r("p"))))
+            } else {
+                explorer.check_invariant(&Query::True)
+            };
+            CheckStats {
+                elapsed: Duration::ZERO,
+                ..verdict.stats().clone()
+            }
+        };
+        for trace in [false, true] {
+            assert_eq!(stats(trace), stats(trace), "trace={trace}");
         }
     }
 
@@ -1780,89 +1211,45 @@ mod tests {
     fn budget_exhaustion_is_only_reported_when_the_search_was_truncated() {
         // Regression test for the max_configs edge: a system whose runs all dead-end must
         // report an exhaustive search even when the budget is hit *exactly*.
-        use rdms_core::action::ActionBuilder;
-        use rdms_core::dms::DmsBuilder;
-        use rdms_db::{Pattern, Term};
-        let v = Var::new("v");
-        let u = Var::new("u");
-        let dms = DmsBuilder::new()
-            .proposition("start")
-            .relation("R", 1)
-            .initially_true("start")
-            .action(
-                ActionBuilder::new("open")
-                    .fresh([v])
-                    .guard(Query::prop(r("start")))
-                    .del(Pattern::proposition(r("start")))
-                    .add(Pattern::from_facts([(r("R"), vec![Term::Var(v)])])),
-            )
-            .action(
-                ActionBuilder::new("close")
-                    .params([u])
-                    .guard(Query::atom(r("R"), [u]))
-                    .del(Pattern::from_facts([(r("R"), vec![Term::Var(u)])])),
-            )
-            .build()
-            .expect("valid dead-end DMS");
+        let dms = dead_end_dms();
 
-        // the state space is {start}, {R(x)}, {}: exactly 2 admitted successors.
-        // parallel_threshold 0 forces the parallel engine despite the tiny budget — the
-        // budget accounting under test lives on that path.
-        for threads in [1, 4] {
-            let exact = Explorer::new(&dms, 2).with_config(
-                config(8, 2)
-                    .with_threads(threads)
-                    .with_parallel_threshold(0),
-            );
-            let (count, saturated) = exact.reachable_state_count();
-            assert_eq!(count, 3);
-            assert!(
-                saturated,
-                "threads={threads}: budget of exactly 2 configs is not a truncation"
-            );
+        // the state space is {start}, {R(x)}, {}: exactly 2 admitted successors
+        let exact = Explorer::new(&dms, 2).with_config(config(8, 2));
+        let (count, saturated) = exact.reachable_state_count();
+        assert_eq!(count, 3);
+        assert!(saturated, "budget of exactly 2 configs is not a truncation");
 
-            let (witness, exhaustive, _) = exact.find_reachable_instance(
-                &Query::prop(r("start")).and(Query::prop(r("start")).not()),
-            );
-            assert!(witness.is_none());
-            assert!(
-                exhaustive,
-                "threads={threads}: unreachable verdict must be exact"
-            );
+        let (witness, exhaustive, _) = exact
+            .find_reachable_instance(&Query::prop(r("start")).and(Query::prop(r("start")).not()));
+        assert!(witness.is_none());
+        assert!(exhaustive, "unreachable verdict must be exact");
 
-            let (reachable, stats) = exact.proposition_reachable(r("nonexistent"));
-            assert!(!reachable);
-            assert!(stats.configs_explored <= 2);
+        let (reachable, stats) = exact.proposition_reachable(r("nonexistent"));
+        assert!(!reachable);
+        assert!(stats.configs_explored <= 2);
 
-            let truncated = Explorer::new(&dms, 2).with_config(
-                config(8, 1)
-                    .with_threads(threads)
-                    .with_parallel_threshold(0),
-            );
-            let (_, saturated) = truncated.reachable_state_count();
-            assert!(
-                !saturated,
-                "threads={threads}: budget of 1 config must truncate"
-            );
-        }
+        let truncated = Explorer::new(&dms, 2).with_config(config(8, 1));
+        let (_, saturated) = truncated.reachable_state_count();
+        assert!(!saturated, "budget of 1 config must truncate");
     }
 
     #[test]
     fn peak_frontier_and_throughput_are_reported() {
         let dms = example_3_1();
-        let explorer = Explorer::new(&dms, 2).with_config(config(4, 50_000).with_threads(1));
+        let explorer = Explorer::new(&dms, 2).with_config(config(4, 50_000));
         let verdict = explorer.check_invariant(&Query::True);
         let stats = verdict.stats();
         assert!(stats.peak_frontier >= 1);
         assert_eq!(stats.threads, 1);
-        assert_eq!(stats.per_thread_configs_per_sec.len(), 1);
-        assert!(stats.per_thread_configs_per_sec[0] > 0.0);
+        // throughput is configs_explored over elapsed
+        assert!(stats.configs_explored > 0);
+        assert!(stats.elapsed > Duration::ZERO);
     }
 
     #[test]
     fn sharing_and_index_statistics_are_reported() {
         let dms = example_3_1();
-        let explorer = Explorer::new(&dms, 2).with_config(config(4, 50_000).with_threads(1));
+        let explorer = Explorer::new(&dms, 2).with_config(config(4, 50_000));
         let verdict = explorer.check_invariant(&Query::True);
         let stats = verdict.stats();
         // the search clones configurations constantly; the COW representation must have
@@ -1883,20 +1270,21 @@ mod tests {
     fn sharing_and_index_statistics_are_exact_under_concurrent_searches() {
         use rdms_core::dms::DmsBuilder;
         use rdms_db::Instance;
+        use std::sync::atomic::{AtomicBool, Ordering};
 
         // Two structurally identical DMSs with *separate* relation storage: the same
         // sequential search over either must issue exactly the same counter traffic.
         let build = || example_3_1();
         let reference_dms = build();
         let reference = Explorer::new(&reference_dms, 2)
-            .with_config(config(4, 50_000).with_threads(1))
+            .with_config(config(4, 50_000))
             .check_invariant(&Query::True);
 
         // Re-run the same search while other threads generate heavy unrelated counter
         // traffic (searches of their own plus raw instance churn). With global-delta
         // accounting these figures were polluted; the per-search scopes must report
         // exactly the isolated numbers.
-        let stop = std::sync::atomic::AtomicBool::new(false);
+        let stop = AtomicBool::new(false);
         let concurrent = std::thread::scope(|scope| {
             for _ in 0..2 {
                 scope.spawn(|| {
@@ -1908,7 +1296,7 @@ mod tests {
                     while !stop.load(Ordering::Relaxed) {
                         // unrelated searches + instance clones + index probes
                         let _ = Explorer::new(&noisy_dms, 1)
-                            .with_config(config(2, 100).with_threads(1))
+                            .with_config(config(2, 100))
                             .check_invariant(&Query::True);
                         let mut inst = Instance::new();
                         for i in 0..32u64 {
@@ -1923,7 +1311,7 @@ mod tests {
             }
             let observed_dms = build();
             let observed = Explorer::new(&observed_dms, 2)
-                .with_config(config(4, 50_000).with_threads(1))
+                .with_config(config(4, 50_000))
                 .check_invariant(&Query::True);
             stop.store(true, Ordering::Relaxed);
             observed
@@ -1944,12 +1332,9 @@ mod tests {
 
         let dms = example_3_1();
         let interner = Arc::new(KeyInterner::new());
-        let private = Explorer::new(&dms, 2).with_config(
-            config(3, 10_000)
-                .with_threads(1)
-                .with_interner(Arc::clone(&interner)),
-        );
-        let global = Explorer::new(&dms, 2).with_config(config(3, 10_000).with_threads(1));
+        let private = Explorer::new(&dms, 2)
+            .with_config(config(3, 10_000).with_interner(Arc::clone(&interner)));
+        let global = Explorer::new(&dms, 2).with_config(config(3, 10_000));
 
         // identical verdicts and state counts through either interner
         let (count_private, sat_private) = private.reachable_state_count();
@@ -2011,11 +1396,8 @@ mod tests {
 
         // the dead-end system saturates → a Safe closure certificate over its 3 states
         let dms = dead_end_dms();
-        let explorer = Explorer::new(&dms, 2).with_config(
-            config(8, 50_000)
-                .with_threads(1)
-                .with_emit_certificate(true),
-        );
+        let explorer =
+            Explorer::new(&dms, 2).with_config(config(8, 50_000).with_emit_certificate(true));
         let verdict = explorer.check_invariant(&tautology);
         assert!(verdict.holds());
         let cert = verdict.certificate().expect("safe certificate");
@@ -2030,18 +1412,15 @@ mod tests {
         // a violation on the running example (constants, parameters, an infinite canonical
         // state space — no Safe certificate could exist, but violations still replay)
         let rich = example_3_1();
-        let explorer = Explorer::new(&rich, 2).with_config(
-            config(4, 50_000)
-                .with_threads(1)
-                .with_emit_certificate(true),
-        );
+        let explorer =
+            Explorer::new(&rich, 2).with_config(config(4, 50_000).with_emit_certificate(true));
         let verdict = explorer.check_invariant(&Query::prop(r("p")));
         assert!(!verdict.holds());
         let cert = verdict.certificate().expect("violation certificate");
         cert.verify().expect("independent verifier accepts");
 
         // the default configuration records nothing and attaches nothing
-        let off = Explorer::new(&dms, 2).with_config(config(8, 50_000).with_threads(1));
+        let off = Explorer::new(&dms, 2).with_config(config(8, 50_000));
         assert!(off.check_invariant(&tautology).certificate().is_none());
         assert!(off
             .check_invariant(&Query::prop(r("start")))
@@ -2050,99 +1429,61 @@ mod tests {
     }
 
     #[test]
-    fn safe_certificates_are_identical_across_thread_counts() {
-        // CheckStats never enters the certificate, and the committed state set is the
-        // scheduling-independent reachability fixpoint — so the serialised artifact must be
-        // byte-identical whichever engine produced it.
-        let dms = dead_end_dms();
-        let u = Var::new("u");
-        let tautology = Query::forall(
-            u,
-            Query::atom(r("R"), [u]).implies(Query::atom(r("R"), [u])),
-        );
-        let reference = Explorer::new(&dms, 2)
-            .with_config(
-                config(8, 50_000)
-                    .with_threads(1)
-                    .with_emit_certificate(true),
-            )
-            .check_invariant(&tautology)
-            .certificate()
-            .expect("safe certificate")
-            .to_json();
-        for threads in [2, 4] {
-            let parallel = Explorer::new(&dms, 2)
-                .with_config(
-                    config(8, 50_000)
-                        .with_threads(threads)
-                        .with_parallel_threshold(0)
-                        .with_emit_certificate(true),
-                )
-                .check_invariant(&tautology)
-                .certificate()
-                .expect("safe certificate")
-                .to_json();
-            assert_eq!(reference, parallel, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn memory_budgets_degrade_gracefully_on_both_engines() {
+        // the trace search (`check`) and the deduplicating search (`check_invariant`)
+        // admit successors through the same meter
         let dms = example_3_1();
-        for threads in [1, 4] {
+        let verdict = |config: ExplorerConfig, dedup: bool, target: Query| {
+            let explorer = Explorer::new(&dms, 2).with_config(config);
+            if dedup {
+                explorer.check_invariant(&target)
+            } else {
+                explorer.check(&templates::invariant(target))
+            }
+        };
+        for dedup in [false, true] {
             // a budget too small for any admission: the root is still evaluated, the
             // verdict is honest (incomplete), and nothing aborts
-            let starved = Explorer::new(&dms, 2).with_config(
-                config(4, 50_000)
-                    .with_threads(threads)
-                    .with_parallel_threshold(0)
-                    .with_memory_budget_bytes(1),
+            let starved = verdict(
+                config(4, 50_000).with_memory_budget_bytes(1),
+                dedup,
+                Query::True,
             );
-            let verdict = starved.check_invariant(&Query::True);
-            assert!(verdict.holds(), "threads={threads}: no admitted violation");
-            let stats = verdict.stats();
-            assert!(stats.memory_cutoff, "threads={threads}");
-            assert_eq!(
-                stats.cutoff,
-                Some(CutoffReason::Memory),
-                "threads={threads}"
+            assert!(starved.holds(), "dedup={dedup}: no admitted violation");
+            let stats = starved.stats();
+            assert!(stats.memory_cutoff, "dedup={dedup}");
+            assert_eq!(stats.cutoff, Some(CutoffReason::Memory), "dedup={dedup}");
+            assert!(stats.peak_memory_bytes <= 1, "dedup={dedup}");
+            assert!(
+                matches!(
+                    starved,
+                    Verdict::Holds {
+                        complete: false,
+                        ..
+                    }
+                ),
+                "dedup={dedup}: a memory cutoff is never exhaustive"
             );
-            assert!(stats.peak_memory_bytes <= 1, "threads={threads}");
-            match verdict {
-                Verdict::Holds { complete, .. } => {
-                    assert!(
-                        !complete,
-                        "threads={threads}: a memory cutoff is never exhaustive"
-                    )
-                }
-                Verdict::Violated { .. } => unreachable!(),
-            }
 
             // a generous budget changes nothing except that the meter is now reported
-            let roomy = Explorer::new(&dms, 2).with_config(
-                config(4, 50_000)
-                    .with_threads(threads)
-                    .with_parallel_threshold(0)
-                    .with_memory_budget_bytes(1 << 30),
+            let p = Query::prop(r("p"));
+            let with_budget = verdict(
+                config(4, 50_000).with_memory_budget_bytes(1 << 30),
+                dedup,
+                p.clone(),
             );
-            let unbudgeted = Explorer::new(&dms, 2).with_config(
-                config(4, 50_000)
-                    .with_threads(threads)
-                    .with_parallel_threshold(0),
-            );
-            let with_budget = roomy.check_invariant(&Query::prop(r("p")));
-            let without = unbudgeted.check_invariant(&Query::prop(r("p")));
-            assert_eq!(with_budget.holds(), without.holds(), "threads={threads}");
-            assert!(!with_budget.stats().memory_cutoff, "threads={threads}");
-            assert_eq!(with_budget.stats().cutoff, None, "threads={threads}");
+            let without = verdict(config(4, 50_000), dedup, p);
+            assert_eq!(with_budget.holds(), without.holds(), "dedup={dedup}");
+            assert!(!with_budget.stats().memory_cutoff, "dedup={dedup}");
+            assert_eq!(with_budget.stats().cutoff, None, "dedup={dedup}");
             assert!(
                 with_budget.stats().peak_memory_bytes > 0,
-                "threads={threads}: the meter runs whenever a budget is set"
+                "dedup={dedup}: the meter runs whenever a budget is set"
             );
             assert_eq!(
                 without.stats().peak_memory_bytes,
                 0,
-                "threads={threads}: no budget, no accounting"
+                "dedup={dedup}: no budget, no accounting"
             );
         }
     }
@@ -2150,7 +1491,7 @@ mod tests {
     #[test]
     fn cutoff_precedence_is_stable_when_several_bounds_fire() {
         // The documented precedence: Cancelled > Memory > Configs. The helper is the
-        // single source of truth both engines report through…
+        // single source of truth every search reports through…
         assert_eq!(
             cutoff_reason(true, true, true),
             Some(CutoffReason::Cancelled)
@@ -2168,12 +1509,8 @@ mod tests {
         let dms = example_3_1();
         let fired = rdms_core::CancelToken::new();
         fired.cancel();
-        let all_three = Explorer::new(&dms, 2).with_config(
-            config(4, 0)
-                .with_threads(1)
-                .with_cancel(fired)
-                .with_memory_budget_bytes(0),
-        );
+        let all_three = Explorer::new(&dms, 2)
+            .with_config(config(4, 0).with_cancel(fired).with_memory_budget_bytes(0));
         let verdict = all_three.check_invariant(&Query::True);
         assert_eq!(verdict.stats().cutoff, Some(CutoffReason::Cancelled));
         assert!(matches!(
@@ -2187,11 +1524,8 @@ mod tests {
         // without the deadline, memory pressure outranks the configuration budget: the
         // zero-byte budget refuses the first admission before the (also zero) config
         // budget is ever consulted again
-        let memory_and_configs = Explorer::new(&dms, 2).with_config(
-            config(4, 50_000)
-                .with_threads(1)
-                .with_memory_budget_bytes(0),
-        );
+        let memory_and_configs =
+            Explorer::new(&dms, 2).with_config(config(4, 50_000).with_memory_budget_bytes(0));
         let verdict = memory_and_configs.check_invariant(&Query::True);
         assert_eq!(verdict.stats().cutoff, Some(CutoffReason::Memory));
         assert!(matches!(
@@ -2203,7 +1537,7 @@ mod tests {
         ));
 
         // and with memory unbounded, the configuration budget is the reason
-        let configs_only = Explorer::new(&dms, 2).with_config(config(4, 1).with_threads(1));
+        let configs_only = Explorer::new(&dms, 2).with_config(config(4, 1));
         let verdict = configs_only.check_invariant(&Query::True);
         assert_eq!(verdict.stats().cutoff, Some(CutoffReason::Configs));
         assert!(matches!(
@@ -2221,7 +1555,7 @@ mod tests {
 
         let dms = example_3_1();
         let reference = Explorer::new(&dms, 2)
-            .with_config(config(4, 50_000).with_threads(1))
+            .with_config(config(4, 50_000))
             .check_invariant(&Query::prop(r("p")));
 
         // cut at the very start: a pre-fired deadline stops the search before the first
@@ -2250,7 +1584,7 @@ mod tests {
         let checkpoint =
             SearchCheckpoint::from_json(&checkpoint.to_json()).expect("portable checkpoint");
         let resumed = Explorer::new(&dms, 2)
-            .with_config(config(4, 50_000).with_threads(1))
+            .with_config(config(4, 50_000))
             .check_invariant_from(&Query::prop(r("p")), checkpoint);
         assert_eq!(resumed.holds(), reference.holds());
         assert_eq!(
@@ -2279,7 +1613,7 @@ mod tests {
         assert!(complete.holds());
         let final_snapshot = policy.take().expect("stop snapshot");
         let replay = Explorer::new(&dms, 2)
-            .with_config(config(4, 50_000).with_threads(1))
+            .with_config(config(4, 50_000))
             .check_invariant_from(&Query::True, final_snapshot);
         assert_eq!(replay.holds(), complete.holds());
         assert_eq!(
@@ -2301,17 +1635,10 @@ mod tests {
         let verdict = Explorer::new(&dms, 2)
             .with_config(
                 config(4, 50_000)
-                    .with_threads(8)
-                    .with_parallel_threshold(0)
                     .with_emit_certificate(true)
                     .with_checkpoint(policy.clone()),
             )
             .check_invariant(&Query::True);
-        assert_eq!(
-            verdict.stats().threads,
-            1,
-            "a parallel frontier has no serialisable stack order"
-        );
         assert!(
             verdict.certificate().is_none(),
             "a resumable search cannot also prove closure"
@@ -2332,30 +1659,5 @@ mod tests {
             Explorer::new(&dms, 2).with_config(config(3, 10_000).with_checkpoint(policy.clone()));
         let _ = explorer.reachable_state_count();
         assert!(!policy.has_snapshot());
-    }
-
-    #[test]
-    fn tiny_searches_fall_back_to_the_sequential_engine() {
-        let dms = example_3_1();
-        // depth 3 on example_3_1 estimates 9³ = 729 configurations — under the default
-        // threshold, so an 8-thread request must run sequentially…
-        let small = Explorer::new(&dms, 2).with_config(config(3, 50_000).with_threads(8));
-        let verdict = small.check_invariant(&Query::True);
-        assert_eq!(verdict.stats().threads, 1);
-
-        // …while disabling the fallback honours the request on the same search…
-        let forced = Explorer::new(&dms, 2)
-            .with_config(config(3, 50_000).with_threads(8).with_parallel_threshold(0));
-        let verdict = forced.check_invariant(&Query::True);
-        assert_eq!(verdict.stats().threads, 8);
-
-        // …and a deep search clears the default threshold by itself
-        let large = Explorer::new(&dms, 2).with_config(config(4, 50_000).with_threads(4));
-        let verdict = large.check_invariant(&Query::True);
-        assert_eq!(verdict.stats().threads, 4);
-
-        // verdicts agree regardless of which engine ran
-        assert!(!small.check_invariant(&Query::prop(r("p"))).holds());
-        assert!(!forced.check_invariant(&Query::prop(r("p"))).holds());
     }
 }

@@ -64,20 +64,17 @@ impl<'a> HybridChecker<'a> {
         let formulas = Formulas::new(self.dms, encoder.alphabet());
         let translated = Translator::new(&formulas).specification(property);
 
-        // reuse the explorer's sequential search core; the encoder's formula cache is
-        // single-threaded, so this engine stays on the threads=1 path
         let driver = SearchDriver::new(
             self.dms,
             self.b,
             ExplorerConfig {
                 depth: self.depth,
                 max_configs: 5_000,
-                threads: 1,
                 ..Default::default()
             },
             false,
         );
-        let outcome = driver.search_sequential(
+        let outcome = driver.search(
             ExtendedRun::new(self.dms.initial_bconfig()),
             |run: &ExtendedRun| {
                 let word = encoder

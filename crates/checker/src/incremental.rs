@@ -260,9 +260,7 @@ impl IncrementalChecker {
     }
 
     /// Rebuild a session from a previously captured run spine **without re-validating the
-    /// transitions** — the checkpoint-resume path of `rdms-serve`, where re-running
-    /// [`RecencySemantics::apply`] per journaled step would make reboot cost grow with
-    /// the whole session instead of the suffix since the last checkpoint.
+    /// transitions** (no [`RecencySemantics::apply`] per step).
     ///
     /// The run's configurations are re-interned in order, so `distinct_states`,
     /// `dedup_hits` and the session-scoped state ids come out exactly as in the
@@ -591,7 +589,6 @@ impl IncrementalChecker {
             configs_explored,
             configs_deduplicated: self.dedup_hits,
             threads: 1,
-            per_thread_configs_per_sec: Vec::new(),
             dedup_hit_rate: if configs_explored == 0 {
                 0.0
             } else {
@@ -837,7 +834,6 @@ mod tests {
             .with_config(ExplorerConfig {
                 depth: 2,
                 max_configs: 10_000,
-                threads: 1,
                 ..ExplorerConfig::default()
             })
             .check_invariant(&no_q);

@@ -46,7 +46,6 @@ pub mod formulas;
 pub mod hybrid;
 pub mod incremental;
 pub mod phi_valid;
-mod pool;
 pub mod request;
 pub mod revision;
 pub mod translate;
@@ -54,7 +53,7 @@ pub mod verdict;
 
 pub use checkpoint::{CheckpointPolicy, SearchCheckpoint};
 pub use encoding::{EncodingAlphabet, RunEncoder};
-pub use explorer::{default_threads, Explorer, ExplorerConfig, DEFAULT_PARALLEL_THRESHOLD};
+pub use explorer::{Explorer, ExplorerConfig};
 pub use incremental::{IncrementalChecker, ReviseOutcome, StepVerdict};
 pub use request::{CheckRequest, CheckTarget, SessionRequest};
 pub use revision::{RecheckReport, Reuse, Revision, Workspace};

@@ -488,7 +488,6 @@ impl Workspace {
         ExplorerConfig {
             depth: self.depth,
             max_configs: self.max_configs,
-            threads: 1,
             interner: Some(Arc::clone(&self.interner)),
             ..Default::default()
         }

@@ -114,11 +114,8 @@ pub struct CheckStats {
     pub configs_explored: usize,
     /// Number of configurations skipped because an isomorphic one had been expanded.
     pub configs_deduplicated: usize,
-    /// Number of worker threads the search ran on (`1` = the legacy sequential order).
+    /// Threads the search ran on: always `1`, every engine runs on the calling thread.
     pub threads: usize,
-    /// Throughput of each worker, in configurations admitted per second, indexed by worker.
-    /// Sequential searches report a single entry.
-    pub per_thread_configs_per_sec: Vec<f64>,
     /// Fraction of generated configurations that were isomorphism-duplicates of an already
     /// seen one: `configs_deduplicated / configs_explored` (`0` when nothing was generated or
     /// the search does not deduplicate).
@@ -232,8 +229,7 @@ mod tests {
             prefixes_checked: 10,
             configs_explored: 42,
             configs_deduplicated: 7,
-            threads: 4,
-            per_thread_configs_per_sec: vec![10.5, 11.0, 9.25, 12.0],
+            threads: 1,
             dedup_hit_rate: 0.25,
             peak_frontier: 17,
             memory_cutoff: true,
@@ -247,7 +243,7 @@ mod tests {
         };
         let json = serde_json::to_string(&stats).unwrap();
         assert!(json.contains("\"recency_bound\":3"));
-        assert!(json.contains("\"threads\":4"));
+        assert!(json.contains("\"threads\":1"));
         assert!(json.contains("\"memory_cutoff\":true"));
         assert!(json.contains("\"cutoff\":\"Memory\""));
         let back: CheckStats = serde_json::from_str(&json).unwrap();

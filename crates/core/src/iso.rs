@@ -122,12 +122,12 @@ const INTERNER_SHARDS: usize = 16;
 /// [`canonical_config_key`]) to dense `u64` ids.
 ///
 /// Two configurations receive the same id iff their canonical keys are equal, i.e. iff they
-/// are isomorphic in the sense of Lemma E.1. The parallel explorer keys its concurrent
-/// seen-set by these ids, turning deduplication into an integer-set probe; repeated searches
+/// are isomorphic in the sense of Lemma E.1. The explorer keys its seen-set by these ids,
+/// turning deduplication into an integer-set probe; repeated searches
 /// over the same state space (recency sweeps, benchmarks) additionally reuse earlier
 /// internings instead of re-comparing instances.
 ///
-/// The interner is sharded (16 reader-writer locks) so concurrent workers
+/// The interner is sharded (16 reader-writer locks) so concurrent searches and sessions
 /// interning distinct keys rarely contend. Ids are unique and stable for the lifetime of the
 /// process but **not** contiguous per search — treat them as opaque.
 ///

@@ -5,68 +5,17 @@
 //! each case occurs, plus how often query evaluation could answer a probe from an
 //! already-built index.
 //!
-//! Two accounting levels exist:
-//!
-//! * **global** (relaxed atomics, process-wide): [`snapshot`] reads them; deltas between two
-//!   snapshots are approximate whenever several searches run at once;
-//! * **scoped** ([`SearchCounters`] + [`record_into`]): a consumer that wants *exact*
-//!   per-search figures allocates a [`SearchCounters`] and enters a recording scope on every
-//!   thread working for that search. All counter traffic issued by a thread inside a scope
-//!   is additionally tallied into the scope's counters (buffered thread-locally, flushed
-//!   when the scope guard drops), so concurrent unrelated searches never pollute each
-//!   other's numbers. The checking engines report these exact figures in their statistics.
+//! Counting is **scoped**: a consumer allocates a [`SearchCounters`] and enters a
+//! recording scope ([`record_into`]) on every thread working for its search. Counter
+//! traffic issued by a thread inside a scope is tallied into the scope's counters
+//! (buffered thread-locally, flushed when the scope guard drops), so concurrent unrelated
+//! searches never pollute each other's numbers; traffic outside any scope is not counted.
+//! The checking engines report these exact figures in their statistics.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Number of per-counter shards. Each thread is pinned to one shard (round-robin), so the
-/// hot-loop increments issued by concurrent search workers land on different cache lines
-/// instead of all contending on a single atomic.
-const SHARDS: usize = 8;
-
-/// A cache-line-padded counter cell, so neighbouring shards do not false-share.
-#[repr(align(64))]
-struct Shard(AtomicU64);
-
-type Counter = [Shard; SHARDS];
-
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO_COUNTER: Counter = [const { Shard(AtomicU64::new(0)) }; SHARDS];
-
-/// Relation handles shared by reference on an instance clone (one per relation per clone).
-static RELATIONS_SHARED: Counter = ZERO_COUNTER;
-/// Relations deep-copied because a shared handle was written to (clone-on-first-write).
-static RELATIONS_MATERIALIZED: Counter = ZERO_COUNTER;
-/// Probes answered through a per-relation index (first-column, per-column values, or the
-/// canonical-fragment cache).
-static INDEX_HITS: Counter = ZERO_COUNTER;
-/// Probes that had to build (or rebuild) the index or cache entry first.
-static INDEX_BUILDS: Counter = ZERO_COUNTER;
-
-/// The calling thread's shard index, assigned round-robin on first use.
-fn shard() -> usize {
-    thread_local! {
-        static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    SHARD.with(|cell| {
-        let mut index = cell.get();
-        if index == usize::MAX {
-            static NEXT: AtomicUsize = AtomicUsize::new(0);
-            index = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            cell.set(index);
-        }
-        index
-    })
-}
-
-fn total(counter: &Counter) -> u64 {
-    counter
-        .iter()
-        .map(|shard| shard.0.load(Ordering::Relaxed))
-        .sum()
-}
 
 /// The four counter kinds, used to index the scoped tallies.
 const SHARED: usize = 0;
@@ -121,8 +70,8 @@ pub struct MetricsScope {
     tally: Rc<LocalTally>,
 }
 
-/// Start recording this thread's counter traffic into `counters` (in addition to the global
-/// counters) until the returned guard drops.
+/// Start recording this thread's counter traffic into `counters` until the returned guard
+/// drops.
 pub fn record_into(counters: &Arc<SearchCounters>) -> MetricsScope {
     let tally = Rc::new(LocalTally {
         target: Arc::clone(counters),
@@ -159,29 +108,28 @@ fn scoped_add(kind: usize, n: u64) {
     });
 }
 
+/// Relation handles shared by reference on an instance clone (one per relation per clone).
 pub(crate) fn count_shared(n: u64) {
-    RELATIONS_SHARED[shard()].0.fetch_add(n, Ordering::Relaxed);
     scoped_add(SHARED, n);
 }
 
+/// A relation deep-copied because a shared handle was written to (clone-on-first-write).
 pub(crate) fn count_materialized() {
-    RELATIONS_MATERIALIZED[shard()]
-        .0
-        .fetch_add(1, Ordering::Relaxed);
     scoped_add(MATERIALIZED, 1);
 }
 
+/// A probe answered through a per-relation index (first-column, per-column values, or the
+/// canonical-fragment cache).
 pub(crate) fn count_index_hit() {
-    INDEX_HITS[shard()].0.fetch_add(1, Ordering::Relaxed);
     scoped_add(HITS, 1);
 }
 
+/// A probe that had to build (or rebuild) the index or cache entry first.
 pub(crate) fn count_index_build() {
-    INDEX_BUILDS[shard()].0.fetch_add(1, Ordering::Relaxed);
     scoped_add(BUILDS, 1);
 }
 
-/// A point-in-time reading of the sharing/index counters.
+/// A reading of one [`SearchCounters`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Relation handles shared by reference on instance clones.
@@ -195,21 +143,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// The counter increments between `earlier` and `self` (saturating, in case another
-    /// thread raced the two readings).
-    pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            relations_shared: self
-                .relations_shared
-                .saturating_sub(earlier.relations_shared),
-            relations_materialized: self
-                .relations_materialized
-                .saturating_sub(earlier.relations_materialized),
-            index_hits: self.index_hits.saturating_sub(earlier.index_hits),
-            index_builds: self.index_builds.saturating_sub(earlier.index_builds),
-        }
-    }
-
     /// Total index probes (hits + builds).
     pub fn index_probes(&self) -> u64 {
         self.index_hits + self.index_builds
@@ -227,55 +160,26 @@ impl MetricsSnapshot {
     }
 }
 
-/// Read the current counter values (summing every thread shard).
-pub fn snapshot() -> MetricsSnapshot {
-    MetricsSnapshot {
-        relations_shared: total(&RELATIONS_SHARED),
-        relations_materialized: total(&RELATIONS_MATERIALIZED),
-        index_hits: total(&INDEX_HITS),
-        index_builds: total(&INDEX_BUILDS),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn deltas_are_saturating_and_rates_bounded() {
-        let a = MetricsSnapshot {
-            relations_shared: 10,
-            relations_materialized: 2,
-            index_hits: 30,
-            index_builds: 10,
-        };
-        let b = MetricsSnapshot {
-            relations_shared: 4,
-            relations_materialized: 5,
-            index_hits: 10,
-            index_builds: 10,
-        };
-        let d = a.since(&b);
-        assert_eq!(d.relations_shared, 6);
-        assert_eq!(d.relations_materialized, 0); // saturates instead of wrapping
-        assert_eq!(d.index_probes(), 20);
-        assert!((d.index_hit_rate() - 1.0).abs() < 1e-9);
-        assert_eq!(MetricsSnapshot::default().index_hit_rate(), 0.0);
-    }
-
-    #[test]
     fn counters_move_forward() {
-        let before = snapshot();
-        count_shared(3);
-        count_materialized();
-        count_index_hit();
-        count_index_build();
-        let delta = snapshot().since(&before);
-        // other tests may run concurrently, so only lower-bound the deltas
-        assert!(delta.relations_shared >= 3);
-        assert!(delta.relations_materialized >= 1);
-        assert!(delta.index_hits >= 1);
-        assert!(delta.index_builds >= 1);
+        let mine = Arc::new(SearchCounters::new());
+        {
+            let _scope = record_into(&mine);
+            count_shared(3);
+            count_materialized();
+            count_index_hit();
+            count_index_build();
+        }
+        let got = mine.snapshot();
+        assert_eq!(got.relations_shared, 3);
+        assert_eq!(got.relations_materialized, 1);
+        assert_eq!(got.index_probes(), 2);
+        assert!((got.index_hit_rate() - 0.5).abs() < 1e-9);
+        assert_eq!(MetricsSnapshot::default().index_hit_rate(), 0.0);
     }
 
     #[test]

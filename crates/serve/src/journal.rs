@@ -202,15 +202,9 @@ pub fn journal_file_name(session: u64) -> String {
     format!("session-{session}.journal")
 }
 
-/// The checkpoint filename for a session id (written beside the journal on drain and
-/// eviction; see [`SessionSnapshot`]).
+/// The file name [`write_snapshot`] gives a session's [`SessionSnapshot`].
 pub fn checkpoint_file_name(session: u64) -> String {
     format!("session-{session}.checkpoint")
-}
-
-/// The checkpoint path that sits beside a journal path.
-fn checkpoint_path(journal_path: &Path) -> PathBuf {
-    journal_path.with_extension("checkpoint")
 }
 
 /// Fsync a directory, making its entry changes (create, rename, unlink) durable. On
@@ -350,9 +344,7 @@ impl Journal {
         let _ = self.sink.sync();
         if let Some(path) = self.path.take() {
             std::fs::remove_file(&path)?;
-            // a drain checkpoint for a cleanly closed session is as stale as its journal
-            let _ = std::fs::remove_file(checkpoint_path(&path));
-            // crash consistency: sync the unlinks, or a crash now could resurrect the
+            // crash consistency: sync the unlink, or a crash now could resurrect the
             // retired session as a ghost at next boot
             if let Some(dir) = path.parent() {
                 sync_dir(dir)?;
@@ -435,18 +427,13 @@ pub fn parse_journal(bytes: &[u8]) -> Option<ParsedJournal> {
     })
 }
 
-/// A drain-time snapshot of a live session: the run spine plus the counters that cannot
-/// be recomputed without re-evaluating the invariant per configuration.
+/// A snapshot of a live session: the run spine plus the counters that cannot be
+/// recomputed without re-evaluating the invariant per configuration.
 ///
-/// Written beside the journal as `session-<id>.checkpoint` when a session leaves the
-/// server without a clean `Close` (drain, eviction) and the server journals. At boot,
-/// recovery **prefers** a checkpoint consistent with the journal: the session is rebuilt
-/// from the snapshot ([`IncrementalChecker::resume`](rdms_checker::IncrementalChecker),
-/// no per-step re-validation) and only the journal records *past* the snapshot are
-/// replayed — so rebooting under a long verification costs the suffix since the last
-/// drain, not the whole session. Any inconsistency (bound, DMS or invariant mismatch, a
-/// run longer than the journal) falls back to full journal replay, which validates every
-/// transition.
+/// [`Session::resume`] rebuilds a session from one without re-validating its transitions
+/// ([`IncrementalChecker::resume`](rdms_checker::IncrementalChecker)), so a snapshot is
+/// trusted input. The server therefore neither writes nor reads snapshots: drain leaves
+/// only the journal behind, and boot recovery replays it, validating every transition.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SessionSnapshot {
     /// The session's DMS.
@@ -466,9 +453,8 @@ pub struct SessionSnapshot {
     pub first_violation_len: Option<usize>,
 }
 
-/// Atomically write a session's checkpoint beside its journal: temp file, fsync, rename,
-/// directory fsync — a crash mid-write must never leave a half-written checkpoint
-/// shadowing a good journal.
+/// Atomically write a session's snapshot to `dir/`[`checkpoint_file_name`]: temp file,
+/// fsync, rename, directory fsync — a crash mid-write never leaves a half-written file.
 pub fn write_snapshot(dir: &Path, session: u64, snapshot: &SessionSnapshot) -> io::Result<()> {
     let json = serde_json::to_string(snapshot).expect("snapshots serialize");
     let tmp = dir.join(format!("session-{session}.checkpoint.tmp"));
@@ -483,8 +469,7 @@ pub fn write_snapshot(dir: &Path, session: u64, snapshot: &SessionSnapshot) -> i
     Ok(())
 }
 
-/// Read a checkpoint back; `None` for a missing or undecodable file (recovery falls back
-/// to full journal replay in both cases).
+/// Read a snapshot back; `None` for a missing or undecodable file.
 pub fn read_snapshot(path: &Path) -> Option<SessionSnapshot> {
     let json = std::fs::read_to_string(path).ok()?;
     serde_json::from_str(&json).ok()
@@ -502,15 +487,14 @@ pub struct RecoveredSession {
     pub replayed: usize,
     /// Whether a torn tail was truncated off the file during recovery.
     pub truncated: bool,
-    /// Whether the session was rebuilt from a drain checkpoint (replaying only the
-    /// journal suffix) rather than by full journal replay.
-    pub from_checkpoint: bool,
 }
 
 /// Recover one journal file: parse, truncate any torn tail in place, and replay the
-/// records into a fresh [`Session`]. `Ok(None)` means the file is not a journal (wrong
-/// magic) or its records cannot rebuild a session (no leading `Open`, invariant no longer
-/// parses, a replay diverges); such files are left untouched for inspection.
+/// records into a fresh [`Session`]. Nothing but the journal is read — a file beside it,
+/// such as a snapshot, never shortcuts the replay that validates every transition.
+/// `Ok(None)` means the file is not a journal (wrong magic) or its records cannot rebuild
+/// a session (no leading `Open`, invariant no longer parses, a replay diverges); such
+/// files are left untouched for inspection.
 pub fn recover_file(path: &Path) -> io::Result<Option<RecoveredSession>> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
@@ -522,91 +506,14 @@ pub fn recover_file(path: &Path) -> io::Result<Option<RecoveredSession>> {
         file.set_len(parsed.good_len)?;
         file.sync_data()?;
     }
-    // prefer the drain checkpoint when one is present and consistent: rebuild from the
-    // snapshot and replay only the journal records past it, so a reboot under a long
-    // session costs the suffix since the last drain instead of the whole session
-    if let Some(snapshot) = read_snapshot(&checkpoint_path(path)) {
-        if let Some((session, replayed)) = resume_with_suffix(snapshot, &parsed.records) {
-            return Ok(Some(RecoveredSession {
-                session,
-                path: path.to_path_buf(),
-                replayed,
-                truncated: parsed.torn,
-                from_checkpoint: true,
-            }));
-        }
-        eprintln!(
-            "rdms-serve: checkpoint beside {} is inconsistent with its journal, \
-             falling back to full replay",
-            path.display()
-        );
-    }
     Ok(
         replay(&parsed.records).map(|(session, replayed)| RecoveredSession {
             session,
             path: path.to_path_buf(),
             replayed,
             truncated: parsed.torn,
-            from_checkpoint: false,
         }),
     )
-}
-
-/// Rebuild a session from a checkpoint and replay the journal's `Check` records past the
-/// snapshot's run length. `None` when the snapshot and journal disagree (different DMS,
-/// bound or invariant; a run longer than the journal records) — the caller falls back to
-/// full replay, which validates every transition from scratch.
-fn resume_with_suffix(
-    snapshot: SessionSnapshot,
-    records: &[JournalRecord],
-) -> Option<(Session, usize)> {
-    // A `Revise` record changes the session's inputs mid-stream, so the
-    // record-index ↔ run-length mapping the checkpoint fast path relies on no
-    // longer holds anywhere in the journal. Full replay handles it correctly.
-    if records
-        .iter()
-        .any(|r| matches!(r, JournalRecord::Revise { .. }))
-    {
-        return None;
-    }
-    let JournalRecord::Open {
-        dms,
-        bound,
-        invariant,
-        emit_certificates,
-    } = records.first()?
-    else {
-        return None;
-    };
-    let parsed_invariant = rdms_db::parser::parse_query(invariant).ok()?;
-    if snapshot.bound != *bound
-        || snapshot.dms != *dms
-        || snapshot.invariant != parsed_invariant
-        || snapshot.emit_certificates != *emit_certificates
-        || snapshot.run.len() > records.len() - 1
-    {
-        return None;
-    }
-    let prefix = snapshot.run.len();
-    let mut session = Session::resume(snapshot).ok()?;
-    let mut replayed = prefix;
-    for record in &records[1 + prefix..] {
-        let JournalRecord::Check { action, bindings } = record else {
-            break; // a second Open mid-journal is corruption; keep the prefix
-        };
-        let accepted = catch_unwind(AssertUnwindSafe(|| {
-            use crate::session::CheckOutcome;
-            matches!(
-                session.check(action, bindings),
-                CheckOutcome::Ok { .. } | CheckOutcome::Violation { .. }
-            )
-        }));
-        match accepted {
-            Ok(true) => replayed += 1,
-            Ok(false) | Err(_) => break,
-        }
-    }
-    Some((session, replayed))
 }
 
 /// Replay parsed records into a fresh session. Replay stops — keeping the prefix — at the
@@ -894,40 +801,6 @@ mod tests {
     }
 
     #[test]
-    fn a_revise_record_disables_the_checkpoint_fast_path() {
-        let dir = test_dir("checkpoint-revise-fallback");
-        let mut journal = Journal::create(&dir, 7, &open(), 2).unwrap();
-        journal.append(&alpha(1));
-        journal.append(&JournalRecord::Revise {
-            dms: None,
-            bound: None,
-            invariant: Some("!exists u. Q(u)".to_string()),
-        });
-        journal.append(&alpha(4));
-        drop(journal);
-
-        // even a checkpoint covering the whole run is untrusted once the journal holds
-        // a Revise: record indices no longer map to run lengths, so recovery must take
-        // the full-replay path (which applies the revision in order)
-        let (session, _) = replay(
-            &parse_journal(&std::fs::read(dir.join(journal_file_name(7))).unwrap())
-                .unwrap()
-                .records,
-        )
-        .unwrap();
-        write_snapshot(&dir, 7, &session.snapshot()).unwrap();
-
-        let recovered = recover_file(&dir.join(journal_file_name(7)))
-            .unwrap()
-            .unwrap();
-        assert!(!recovered.from_checkpoint);
-        assert_eq!(recovered.replayed, 2);
-        assert_eq!(recovered.session.transactions(), 2);
-        assert_eq!(recovered.session.violations(), session.violations());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn file_backed_create_recover_and_retire() {
         let dir = std::env::temp_dir().join(format!("rdms-journal-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -999,62 +872,32 @@ mod tests {
     }
 
     #[test]
-    fn recovery_prefers_a_consistent_checkpoint() {
-        let dir = test_dir("checkpoint-preferred");
-        let mut journal = Journal::create(&dir, 7, &open(), 2).unwrap();
-        journal.append(&alpha(1));
-        journal.append(&alpha(4));
-        journal.append(&alpha(7));
-        drop(journal);
-
-        // checkpoint covers the first two transactions; recovery should rebuild from it
-        // and replay only the journal suffix (the third transaction)
-        let (session, _) = replay(&[open(), alpha(1), alpha(4)]).unwrap();
-        write_snapshot(&dir, 7, &session.snapshot()).unwrap();
-
-        let recovered = recover_file(&dir.join(journal_file_name(7)))
-            .unwrap()
-            .unwrap();
-        assert!(recovered.from_checkpoint);
-        assert_eq!(recovered.replayed, 3);
-        assert_eq!(recovered.session.transactions(), 3);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn an_inconsistent_checkpoint_falls_back_to_full_replay() {
-        let dir = test_dir("checkpoint-fallback");
-        let mut journal = Journal::create(&dir, 7, &open(), 2).unwrap();
-        journal.append(&alpha(1));
-        journal.append(&alpha(4));
+        // recovery trusts only the journal: a parseable checkpoint beside it that claims
+        // no violation must not override a journal whose replay finds one
+        let dir = test_dir("checkpoint-tampered");
+        let records = vec![
+            open_record(&example_3_1(), 2, "!exists u. Q(u)", false),
+            alpha(1),
+        ];
+        let mut journal = Journal::create(&dir, 7, &records[0], 2).unwrap();
+        journal.append(&records[1]);
         drop(journal);
 
-        // a checkpoint whose bound disagrees with the journal's Open record is untrusted
-        let (session, _) = replay(&[open(), alpha(1)]).unwrap();
-        let mut snapshot = session.snapshot();
-        snapshot.bound += 1;
-        write_snapshot(&dir, 7, &snapshot).unwrap();
+        let (replayed, n) = replay(&records).unwrap();
+        assert_eq!((replayed.violations(), n), (1, 1));
+        let mut tampered = replayed.snapshot();
+        tampered.violations = 0;
+        tampered.first_violation_len = None;
+        write_snapshot(&dir, 7, &tampered).unwrap();
+        assert!(read_snapshot(&dir.join(checkpoint_file_name(7))).is_some());
 
         let recovered = recover_file(&dir.join(journal_file_name(7)))
             .unwrap()
             .unwrap();
-        assert!(!recovered.from_checkpoint);
-        assert_eq!(recovered.replayed, 2);
-        assert_eq!(recovered.session.transactions(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn retiring_a_journal_removes_its_checkpoint_too() {
-        let dir = test_dir("checkpoint-retire");
-        let journal = Journal::create(&dir, 7, &open(), 2).unwrap();
-        let (session, _) = replay(&[open(), alpha(1)]).unwrap();
-        write_snapshot(&dir, 7, &session.snapshot()).unwrap();
-        assert!(dir.join(checkpoint_file_name(7)).exists());
-
-        journal.retire().unwrap();
-        assert!(!dir.join(journal_file_name(7)).exists());
-        assert!(!dir.join(checkpoint_file_name(7)).exists());
+        assert_eq!(recovered.replayed, n);
+        assert_eq!(recovered.session.violations(), 1);
+        assert_eq!(recovered.session.stats(), replayed.stats());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

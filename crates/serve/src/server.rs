@@ -205,8 +205,8 @@ struct SessionSeat {
     /// Latest [`Session::memory_bytes`] estimate, updated after every processed request.
     bytes: usize,
     /// Set by the governor to evict this session; its connection's reader delivers
-    /// `Evicted` and closes within one poll tick. The journal (and a drain checkpoint)
-    /// survive, so an evicted session is resumable after the pressure passes.
+    /// `Evicted` and closes within one poll tick. The journal survives, so an evicted
+    /// session is resumable after the pressure passes.
     evict: Arc<AtomicBool>,
 }
 
@@ -295,13 +295,8 @@ impl Shared {
         let mut parked = self.recovered.lock();
         for (id, session) in journal::recover_dir(dir)? {
             eprintln!(
-                "rdms-serve: recovered session {id} ({} transactions{}{})",
+                "rdms-serve: recovered session {id} ({} transactions{})",
                 session.replayed,
-                if session.from_checkpoint {
-                    ", from checkpoint + journal suffix"
-                } else {
-                    ""
-                },
                 if session.truncated {
                     ", torn tail truncated"
                 } else {
@@ -432,7 +427,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> 
         }
         if evict.load(Ordering::SeqCst) {
             // pressure eviction: the governor picked this session to free memory; its
-            // journal (and the drain checkpoint the worker writes) keep it resumable
+            // journal keeps it resumable
             let _ = write_message(&mut *writer.lock(), &Response::Evicted);
             break;
         }
@@ -549,19 +544,6 @@ fn worker_loop(
         if terminal {
             done.store(true, Ordering::SeqCst);
             break;
-        }
-    }
-    // a session leaving without a clean Close (drain, eviction — not poison, which wipes
-    // `session` because its half-mutated state must not be trusted) leaves a checkpoint
-    // beside its journal, so the next boot resumes the verification instead of replaying
-    // the whole journal
-    if let (Some(id), Some(live)) = (session_id, session.as_ref()) {
-        if let Some(dir) = &shared.config.journal_dir {
-            if live.journal().is_some() {
-                if let Err(e) = journal::write_snapshot(dir, id, &live.snapshot()) {
-                    eprintln!("rdms-serve: could not checkpoint session {id}: {e}");
-                }
-            }
         }
     }
     if let Some(id) = session_id {

@@ -133,11 +133,10 @@ impl Session {
         })
     }
 
-    /// Rebuild a session from a drain checkpoint **without re-validating its
-    /// transitions** (see [`SessionSnapshot`] for when this is sound; the journal replay
-    /// path stays the fallback that validates everything). Limits, deadline and journal
-    /// are not part of the snapshot — the caller re-applies the server's current
-    /// configuration, exactly as on `Resume`.
+    /// Rebuild a session from a [`SessionSnapshot`] **without re-validating its
+    /// transitions**: the snapshot is trusted input (journal replay is the path that
+    /// validates everything). Limits, deadline and journal are not part of the snapshot —
+    /// the caller re-applies them.
     pub fn resume(snapshot: SessionSnapshot) -> Result<Session, OpenError> {
         let checker = IncrementalChecker::resume(
             Arc::new(snapshot.dms),
@@ -149,7 +148,7 @@ impl Session {
         )
         .map_err(|e| OpenError {
             code: ErrorCode::DatabaseError,
-            message: format!("checkpoint does not rebuild a session: {e}"),
+            message: format!("snapshot does not rebuild a session: {e}"),
         })?
         .with_emit_certificate(snapshot.emit_certificates);
         Ok(Session {
@@ -160,8 +159,8 @@ impl Session {
         })
     }
 
-    /// Capture a drain checkpoint: everything [`resume`](Self::resume) needs to rebuild
-    /// this session without replaying it.
+    /// Capture a snapshot: everything [`resume`](Self::resume) needs to rebuild this
+    /// session without replaying it.
     pub fn snapshot(&self) -> SessionSnapshot {
         SessionSnapshot {
             dms: (**self.checker.dms()).clone(),

@@ -1,7 +1,7 @@
 //! The memory governor over real sockets: admission shedding with `overloaded`,
-//! pressure eviction of the largest session, and checkpoint-on-drain feeding a
-//! reboot-then-`Resume` continuation. Companion to the in-process unit tests in
-//! `server.rs` (ledger arithmetic) and `journal.rs` (checkpoint preference).
+//! pressure eviction of the largest session, and a drain feeding a reboot-then-`Resume`
+//! continuation through journal replay. Companion to the in-process unit tests in
+//! `server.rs` (ledger arithmetic) and `journal.rs` (recovery).
 
 use rdms_core::dms::example_3_1;
 use rdms_serve::protocol::{self, FrameError, Request, Response, PROTOCOL_VERSION};
@@ -149,10 +149,10 @@ fn a_generous_budget_never_sheds() {
     handle.shutdown().expect("drain");
 }
 
-/// A server drain checkpoints live sessions; the next boot resumes them from the
-/// checkpoint and a reconnecting client picks up exactly where it left off.
+/// A server drain leaves only the journal behind; the next boot replays it and a
+/// reconnecting client picks up exactly where it left off.
 #[test]
-fn drain_checkpoints_and_a_rebooted_server_resumes_the_session() {
+fn a_drain_leaves_no_checkpoint_and_a_rebooted_server_resumes_the_session() {
     let dir = std::env::temp_dir().join(format!("rdms-overload-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let config = || ServerConfig {
@@ -177,15 +177,19 @@ fn drain_checkpoints_and_a_rebooted_server_resumes_the_session() {
     ));
     handle.shutdown().expect("drain");
 
-    // the drain wrote a checkpoint next to the journal
-    assert!(
-        dir.join(rdms_serve::journal::checkpoint_file_name(session_id))
-            .exists(),
-        "drain must checkpoint the live session"
+    // the drain left the journal and nothing beside it
+    let files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("journal dir")
+        .map(|entry| entry.expect("dir entry").file_name().into_string())
+        .collect();
+    assert_eq!(
+        files,
+        [Ok(rdms_serve::journal::journal_file_name(session_id))],
+        "a drain writes no checkpoint"
     );
 
-    // reboot: the new server recovers the session (checkpoint + journal suffix) and a
-    // Resume continues it with all counters intact
+    // reboot: the new server recovers the session by journal replay and a Resume
+    // continues it with all counters intact
     let handle = spawn_server(config());
     let (mut stream, mut replies) = connect(&handle);
     match turn(

@@ -159,7 +159,6 @@ mod tests {
         let explorer = Explorer::new(&dms, recency_bound(3)).with_config(ExplorerConfig {
             depth: 12,
             max_configs: 10_000,
-            threads: 1,
             ..Default::default()
         });
         let verdict = explorer.check_invariant(&first_stream_has_a_head());

@@ -1,5 +1,5 @@
-//! A wide-branching inventory / order-fulfilment scenario, sized to exercise the parallel
-//! explorer.
+//! A wide-branching inventory / order-fulfilment scenario, sized to exercise the
+//! explorer's deduplicating search and the revision workspace (benches E13 and E16).
 //!
 //! Relations: `Stocked/1` (items on the shelf), `Order/1` (open orders), `Reserved/2`
 //! (item, order), `Shipped/2`, and a proposition `open` (the receiving dock).
@@ -14,9 +14,7 @@
 //! The `reserve` action instantiates over *pairs* of recent values (item × order), so the
 //! `b`-bounded configuration graph branches quadratically in the recency bound: a single
 //! frontier entry spawns many successors, each requiring guard evaluation over a growing
-//! instance. That makes this workload the canonical stress test for the work-stealing
-//! explorer (bench `e9_parallel_scaling`), where trace workloads like `figure1` are too
-//! narrow to keep several workers busy.
+//! instance.
 
 use rdms_core::action::ActionBuilder;
 use rdms_core::dms::DmsBuilder;

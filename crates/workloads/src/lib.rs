@@ -14,7 +14,7 @@
 //!   (deterministic deep runs), sized to exercise the persistent history/seq-no
 //!   representation (bench E11);
 //! * [`inventory`] — a wide-branching order-fulfilment scenario sized to exercise the
-//!   parallel explorer (bench E9);
+//!   deduplicating explorer and the revision workspace (benches E13, E16);
 //! * [`wide`] — a wide-schema ledger system (many relations, one touched per action) sized
 //!   to exercise the copy-on-write instance representation (bench E10);
 //! * [`counters`] — counter-machine workloads for the Appendix D reductions;

@@ -115,7 +115,6 @@ mod tests {
         let explorer = Explorer::new(&dms, 2).with_config(ExplorerConfig {
             depth: 4,
             max_configs: 10_000,
-            threads: 1,
             ..Default::default()
         });
         let verdict = explorer.check_invariant(&first_ledger_stays_populated());

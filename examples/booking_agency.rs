@@ -72,8 +72,6 @@ fn main() {
     let explorer = Explorer::new(dms, 3).with_config(ExplorerConfig {
         depth: 4,
         max_configs: 30_000,
-        // threads: 1 keeps the printed statistics byte-identical run to run
-        threads: 1,
         ..Default::default()
     });
 

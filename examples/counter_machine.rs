@@ -70,8 +70,6 @@ fn main() {
         let explorer = Explorer::new(&small_binary, b).with_config(ExplorerConfig {
             depth: 10,
             max_configs: 30_000,
-            // threads: 1 keeps the printed statistics byte-identical run to run
-            threads: 1,
             ..Default::default()
         });
         let (run, _, stats) = explorer.find_reachable_instance(&Query::prop(small_prop));

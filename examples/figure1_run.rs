@@ -106,7 +106,6 @@ fn main() {
         ExplorerConfig {
             depth: 4,
             max_configs: 5_000,
-            threads: 1,
             ..Default::default()
         }
         .with_emit_certificate(true),

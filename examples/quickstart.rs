@@ -73,8 +73,6 @@ fn main() {
     let explorer = Explorer::new(&dms, b).with_config(ExplorerConfig {
         depth: 5,
         max_configs: 20_000,
-        // threads: 1 keeps the printed statistics byte-identical run to run
-        threads: 1,
         ..Default::default()
     });
 

@@ -23,8 +23,6 @@ fn sweep(name: &str, dms: &Dms, property: &MsoFo, max_b: usize, depth: usize) {
         let explorer = Explorer::new(dms, b).with_config(ExplorerConfig {
             depth,
             max_configs: 50_000,
-            // threads: 1 keeps the printed statistics byte-identical run to run
-            threads: 1,
             ..Default::default()
         });
         let (states, saturated) = explorer.reachable_state_count();

@@ -56,7 +56,6 @@ fn an_unfired_token_does_not_perturb_the_search() {
     let config = || ExplorerConfig {
         depth: 3,
         max_configs: 20_000,
-        threads: 1,
         ..ExplorerConfig::default()
     };
     let with_token = Explorer::new(&dms, 2).with_config(config().with_cancel(CancelToken::new()));

@@ -19,7 +19,6 @@ fn config(depth: usize, max_configs: usize) -> ExplorerConfig {
     ExplorerConfig {
         depth,
         max_configs,
-        threads: 1,
         ..ExplorerConfig::default()
     }
 }

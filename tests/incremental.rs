@@ -111,7 +111,6 @@ proptest! {
                 .with_config(ExplorerConfig {
                     depth: witness.len(),
                     max_configs: 500_000,
-                    threads: 1,
                     ..ExplorerConfig::default()
                 })
                 .check_invariant(&invariant);

@@ -803,87 +803,3 @@ proptest! {
         );
     }
 }
-
-// -----------------------------------------------------------------------------------------
-// parallel explorer against the sequential engine
-// -----------------------------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// The work-stealing explorer must agree with the sequential engine (`threads = 1`) on
-    /// every random DMS: same reachable-state count, same invariant verdicts, same witness
-    /// existence — for any thread count.
-    #[test]
-    fn parallel_explorer_matches_sequential(seed in 0u64..10_000, threads in 2usize..6, b in 1usize..4) {
-        use rdms::checker::{Explorer, ExplorerConfig};
-        let dms = random_dms(&RandomDmsConfig { seed, ..Default::default() });
-        // parallel_threshold 0: these tests compare the two engines, so the parallel one
-        // must actually run even though depth-3 searches are under the adaptive threshold
-        let sequential_config = ExplorerConfig {
-            depth: 3,
-            max_configs: 500_000,
-            threads: 1,
-            parallel_threshold: 0,
-            ..Default::default()
-        };
-        let parallel_config = ExplorerConfig { threads, ..sequential_config.clone() };
-        let sequential = Explorer::new(&dms, b).with_config(sequential_config);
-        let parallel = Explorer::new(&dms, b).with_config(parallel_config);
-
-        // identical depth-bounded state spaces modulo data isomorphism
-        let (count_seq, _) = sequential.reachable_state_count();
-        let (count_par, _) = parallel.reachable_state_count();
-        prop_assert_eq!(count_seq, count_par, "state counts differ (seed {}, threads {}, b {})", seed, threads, b);
-
-        // identical invariant verdicts ("R0 stays empty" is violated whenever the seeded
-        // bootstrap action can fill R0, and holds for depth-0-deadlocked variants)
-        let u = Var::new("u");
-        let r0_nonempty = Query::exists(u, Query::atom(r("R0"), [u]));
-        let invariant = r0_nonempty.clone().not();
-        prop_assert_eq!(
-            sequential.check_invariant(&invariant).holds(),
-            parallel.check_invariant(&invariant).holds()
-        );
-
-        // identical state-reachability and trace-witness existence
-        let (witness_seq, _, _) = sequential.find_reachable_instance(&r0_nonempty);
-        let (witness_par, _, _) = parallel.find_reachable_instance(&r0_nonempty);
-        prop_assert_eq!(witness_seq.is_some(), witness_par.is_some());
-
-        let reach = rdms::logic::templates::reachability(r0_nonempty);
-        prop_assert_eq!(
-            sequential.find_witness(&reach).0.is_some(),
-            parallel.find_witness(&reach).0.is_some()
-        );
-    }
-
-    /// Parallel verdicts are deterministic: re-running the same violated check yields the
-    /// same counterexample (first violation in canonical prefix order, not thread arrival).
-    #[test]
-    fn parallel_counterexamples_are_scheduling_independent(seed in 0u64..10_000, threads in 2usize..6) {
-        use rdms::checker::{Explorer, ExplorerConfig};
-        let dms = random_dms(&RandomDmsConfig { seed, ..Default::default() });
-        let explorer = Explorer::new(&dms, 2)
-            .with_config(ExplorerConfig {
-                depth: 3,
-                max_configs: 500_000,
-                threads,
-                parallel_threshold: 0,
-                ..Default::default()
-            });
-        let u = Var::new("u");
-        let r0_empty = Query::exists(u, Query::atom(r("R0"), [u])).not();
-        // trace searches: the whole counterexample is reproducible
-        let property = rdms::logic::templates::invariant(r0_empty.clone());
-        let first = explorer.check(&property);
-        let second = explorer.check(&property);
-        prop_assert_eq!(first.holds(), second.holds());
-        prop_assert_eq!(first.counterexample(), second.counterexample());
-        // deduplicating searches: the verdict is reproducible
-        prop_assert_eq!(
-            explorer.check_invariant(&r0_empty).holds(),
-            explorer.check_invariant(&r0_empty).holds()
-        );
-    }
-}

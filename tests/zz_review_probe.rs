@@ -12,7 +12,11 @@ fn probe_complete_flag_on_explored_set_reuse() {
     let mut ws = Workspace::new(dms.clone(), 2, inv_a.clone()).with_depth(depth);
     let first = ws.check();
     let first_complete = matches!(first, Verdict::Holds { complete, .. } if complete);
-    println!("first check: holds={}, complete={}", first.holds(), first_complete);
+    println!(
+        "first check: holds={}, complete={}",
+        first.holds(),
+        first_complete
+    );
 
     ws.set_target(inv_b.clone());
     let second = ws.check();
@@ -22,7 +26,6 @@ fn probe_complete_flag_on_explored_set_reuse() {
     let scratch = Explorer::new(&dms, 2)
         .with_config(ExplorerConfig {
             depth,
-            threads: 1,
             ..ExplorerConfig::default()
         })
         .check_invariant(&inv_b);
