@@ -28,7 +28,7 @@ fn bench_wide_relations(c: &mut Criterion) {
                 bench.iter(|| {
                     let verdict = Explorer::new(&dms, 3)
                         .with_config(config.clone())
-                        .check_invariant(&invariant);
+                        .run(invariant.clone());
                     assert!(verdict.holds());
                     verdict.stats().configs_explored
                 })

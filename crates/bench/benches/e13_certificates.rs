@@ -42,7 +42,7 @@ fn bench_emission_overhead(c: &mut Criterion) {
                 bench.iter(|| {
                     Explorer::new(&agency.dms, 2)
                         .with_config(config(emit))
-                        .check_invariant(&lifecycle)
+                        .run(lifecycle.clone())
                         .holds()
                 })
             },
@@ -57,7 +57,7 @@ fn bench_emission_overhead(c: &mut Criterion) {
                 bench.iter(|| {
                     Explorer::new(&violated_dms, 2)
                         .with_config(config(emit))
-                        .check_invariant(&never_shipped)
+                        .run(never_shipped.clone())
                         .holds()
                 })
             },
@@ -71,13 +71,13 @@ fn bench_emission_overhead(c: &mut Criterion) {
 fn bench_verification(c: &mut Criterion) {
     let safe = Explorer::new(&booking::finite(&BookingConfig::default(), 2).dms, 2)
         .with_config(config(true))
-        .check_invariant(&booking::offer_state_invariant())
+        .run(booking::offer_state_invariant())
         .certificate()
         .expect("saturating search emits")
         .to_json();
     let violation = Explorer::new(&inventory::finite_dms(1, 2), 2)
         .with_config(config(true))
-        .check_invariant(&inventory::something_shipped().not())
+        .run(inventory::something_shipped().not())
         .certificate()
         .expect("violated search emits")
         .to_json();

@@ -1,5 +1,5 @@
-//! E15 — resource governance: what the memory governor and search checkpoints cost, and
-//! what boot recovery costs.
+//! E15 — resource governance: what the memory governor costs, and what boot recovery
+//! costs.
 //!
 //! * `session_check_governed/{off,on}` — one depth-1024 incremental check bare (`off`)
 //!   vs with the per-request work the governed server adds on top of it (`on`): reading
@@ -9,17 +9,8 @@
 //!   the hot path, like certificates (E13) and journaling (E14) before it.
 //! * `replay/1024` — rebuilding a depth-1024 session by re-checking every transaction
 //!   from scratch: the work boot recovery does per journaled session.
-//! * `search/{plain,checkpointed}` — one full bounded-explorer invariant search bare vs
-//!   with [`CheckpointPolicy::every`] snapshotting the live frontier as it runs. The
-//!   baseline locks `checkpointed ≤ 1.25 × plain`: cooperative checkpoint *emission*
-//!   must stay a bounded surcharge on the search it protects, exactly like certificate
-//!   emission (E13).
-//!
-//! [`CheckpointPolicy::every`]: rdms_checker::CheckpointPolicy::every
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rdms_checker::{CheckpointPolicy, Explorer, ExplorerConfig};
-use rdms_db::{Query, RelName};
 use rdms_serve::{CheckOutcome, Session};
 use rdms_workloads::audit;
 use rdms_workloads::streams::{wire_transaction, TransactionStream};
@@ -129,50 +120,5 @@ fn bench_replay(c: &mut Criterion) {
     group.finish();
 }
 
-/// Cooperative checkpoint emission inside a full explorer search, behind the
-/// `checkpointed ≤ 1.25 × plain` ratio lock. The policy snapshots the frontier every 16
-/// admitted configurations — far more often than an operator would — so the lock bounds
-/// an upper estimate of the emission cost.
-fn bench_search_checkpoint_overhead(c: &mut Criterion) {
-    let dms = rdms_workloads::figure1::dms();
-    let invariant = Query::prop(RelName::new("p"));
-    let config = || ExplorerConfig {
-        depth: 3,
-        max_configs: 10_000,
-        ..Default::default()
-    };
-
-    let mut group = c.benchmark_group("e15_resource_governance");
-    group.sample_size(10);
-    group.bench_with_input(BenchmarkId::new("search", "plain"), &(), |bench, ()| {
-        bench.iter(|| {
-            Explorer::new(&dms, 2)
-                .with_config(config())
-                .check_invariant(&invariant)
-                .holds()
-        })
-    });
-    group.bench_with_input(
-        BenchmarkId::new("search", "checkpointed"),
-        &(),
-        |bench, ()| {
-            bench.iter(|| {
-                let policy = CheckpointPolicy::every(16);
-                let verdict = Explorer::new(&dms, 2)
-                    .with_config(config().with_checkpoint(policy.clone()))
-                    .check_invariant(&invariant);
-                assert!(policy.has_snapshot(), "the cadence fired during the search");
-                verdict.holds()
-            })
-        },
-    );
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_governed_check,
-    bench_replay,
-    bench_search_checkpoint_overhead
-);
+criterion_group!(benches, bench_governed_check, bench_replay);
 criterion_main!(benches);

@@ -30,7 +30,7 @@
 //! so a broken reuse strategy cannot hide behind fast numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rdms_checker::{CheckRequest, Explorer, ExplorerConfig, Reuse, Verdict, Workspace};
+use rdms_checker::{Explorer, ExplorerConfig, Reuse, Verdict, Workspace};
 use rdms_workloads::inventory;
 
 /// Fresh items per `receive` batch. Two-wide batches accumulate a large active domain
@@ -79,7 +79,7 @@ fn assert_reuse_is_exact() {
     let scratch = |dms: &rdms_core::Dms, bound: usize| {
         let verdict = Explorer::new(dms, bound)
             .with_config(scratch_config())
-            .run(CheckRequest::invariant(invariant()));
+            .run(invariant());
         assert!(
             matches!(verdict, Verdict::Holds { complete: true, .. }),
             "the E16 invariant must hold exhaustively, got {verdict}"

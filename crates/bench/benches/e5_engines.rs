@@ -26,7 +26,7 @@ fn bench_engines(c: &mut Criterion) {
                         max_configs: 10_000,
                         ..Default::default()
                     })
-                    .check(&property)
+                    .run(property.clone())
                     .holds()
             })
         });

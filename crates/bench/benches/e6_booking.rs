@@ -39,7 +39,7 @@ fn bench_booking(c: &mut Criterion) {
                         max_configs: 20_000,
                         ..Default::default()
                     })
-                    .check_invariant(&invariant)
+                    .run(invariant.clone())
                     .holds()
             })
         });
@@ -53,7 +53,7 @@ fn bench_booking(c: &mut Criterion) {
                         max_configs: 20_000,
                         ..Default::default()
                     })
-                    .check_invariant(&invariant)
+                    .run(invariant.clone())
                     .holds()
             })
         });

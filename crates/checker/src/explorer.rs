@@ -10,16 +10,17 @@
 //!
 //! Semantics offered (all relative to the chosen recency bound `b` and depth bound `k`):
 //!
-//! * [`Explorer::check`] — "does every `b`-bounded run prefix of length ≤ `k` satisfy φ?"
-//!   under the finite-prefix semantics of `rdms-logic`. For **safety** properties a violating
-//!   prefix witnesses a violation of the paper's (infinite-run) problem; the verdict is
-//!   reported as `complete` only when the exploration exhausted all prefixes.
+//! * [`Explorer::run`] on a trace property — "does every `b`-bounded run prefix of length
+//!   ≤ `k` satisfy φ?" under the finite-prefix semantics of `rdms-logic`. For **safety**
+//!   properties a violating prefix witnesses a violation of the paper's (infinite-run)
+//!   problem; the verdict is reported as `complete` only when the exploration exhausted all
+//!   prefixes.
 //! * [`Explorer::find_witness`] — dually, search for a prefix *satisfying* φ (useful for
 //!   reachability-style properties).
-//! * [`Explorer::check_invariant`] / [`Explorer::find_reachable_instance`] — state-based
-//!   properties with configuration deduplication modulo data isomorphism; these verdicts are
-//!   **exact** for the chosen recency bound whenever the abstract state space saturates
-//!   within the exploration budget.
+//! * [`Explorer::run`] on a state invariant / [`Explorer::find_reachable_instance`] —
+//!   state-based properties with configuration deduplication modulo data isomorphism; these
+//!   verdicts are **exact** for the chosen recency bound whenever the abstract state space
+//!   saturates within the exploration budget.
 //!
 //! # Search architecture
 //!
@@ -40,8 +41,7 @@
 //!   was actually dropped by `max_configs` or the memory budget, not merely because the
 //!   counter happened to be full when a leaf was revisited.
 
-use crate::checkpoint::{CheckpointPolicy, SearchCheckpoint};
-use crate::request::{CheckRequest, CheckTarget};
+use crate::request::CheckTarget;
 use crate::verdict::{CheckStats, CutoffReason, Verdict};
 use rdms_core::iso::{canonical_config_key, intern_canonical_config_in};
 use rdms_core::{
@@ -75,8 +75,8 @@ pub struct ExplorerConfig {
     /// recording off is zero-cost, the search paths are untouched).
     ///
     /// When on, deduplicating searches record every expanded canonical state's wire facts
-    /// and successor digests, and [`Explorer::check_invariant`] attaches a certificate to
-    /// its verdict: a replayable `Violation` witness, or — when the exploration saturated
+    /// and successor digests, and [`Explorer::run`] on an invariant attaches a certificate
+    /// to its verdict: a replayable `Violation` witness, or — when the exploration saturated
     /// (no depth or budget cutoff) — a `Safe` closure proof over the committed state set.
     /// The certificate is independently checkable by the engine-free `rdms-cert` crate.
     pub emit_certificate: bool,
@@ -95,19 +95,11 @@ pub struct ExplorerConfig {
     /// admitted, and reports the result with `complete: false` and
     /// [`CheckStats::memory_cutoff`] set — never a falsely exhaustive verdict, never an
     /// abort. The meter is monotone over one search (charges are never released), so the
-    /// cutoff point is deterministic and checkpoint-stable. Canonical keys retained by
-    /// the interner are visible process-wide through
+    /// cutoff point is deterministic. Canonical keys retained by the interner are visible
+    /// process-wide through
     /// [`KeyInterner::heap_bytes`](rdms_core::KeyInterner::heap_bytes) and are *not*
     /// double-counted here.
     pub memory_budget_bytes: Option<usize>,
-    /// Cooperative checkpointing (default `None`). When set, the search writes a
-    /// [`SearchCheckpoint`] of its depth-first stack into the policy's slot every
-    /// [`CheckpointPolicy::every_configs`] admissions and once more when it stops for any
-    /// reason, and suppresses certificate recording (a resumed search cannot prove
-    /// closure over states expanded before the cut). Only run-carrying
-    /// searches ([`Explorer::check`], [`Explorer::check_invariant`], …) produce
-    /// snapshots; state-count searches leave the slot empty.
-    pub checkpoint: Option<CheckpointPolicy>,
 }
 
 impl Default for ExplorerConfig {
@@ -119,7 +111,6 @@ impl Default for ExplorerConfig {
             emit_certificate: false,
             cancel: None,
             memory_budget_bytes: None,
-            checkpoint: None,
         }
     }
 }
@@ -160,13 +151,6 @@ impl ExplorerConfig {
         self.memory_budget_bytes = Some(budget);
         self
     }
-
-    /// This configuration checkpointing through the given policy (see
-    /// [`ExplorerConfig::checkpoint`]).
-    pub fn with_checkpoint(mut self, policy: CheckpointPolicy) -> ExplorerConfig {
-        self.checkpoint = Some(policy);
-        self
-    }
 }
 
 /// The bounded explorer for one DMS and one recency bound.
@@ -201,42 +185,16 @@ impl<'a> Explorer<'a> {
         SearchDriver::new(self.dms, self.b, self.config.clone(), dedup)
     }
 
-    /// Execute one [`CheckRequest`] — the unified entry point behind the historical
-    /// method family ([`check`](Self::check), [`check_from`](Self::check_from),
-    /// [`check_invariant`](Self::check_invariant),
-    /// [`check_invariant_from`](Self::check_invariant_from), which survive as thin
-    /// wrappers). The request's [`CheckTarget`] selects the engine (trace properties
-    /// enumerate every prefix; invariants deduplicate configurations modulo data
-    /// isomorphism), an optional checkpoint resumes an interrupted search, and an
-    /// optional [`Workspace`](crate::revision::Workspace) routes the check through
-    /// revision-keyed memoization (the explorer's DMS, bound and budgets are pushed into
-    /// the workspace as fingerprinted revisions first).
-    ///
-    /// # Panics
-    ///
-    /// When the request carries both a checkpoint and a workspace — a workspace manages
-    /// its own reuse, so the combination is a contract violation, not a fallback.
-    pub fn run(&self, request: CheckRequest<'_>) -> Verdict {
-        let CheckRequest {
-            target,
-            checkpoint,
-            workspace,
-        } = request;
-        if let Some(workspace) = workspace {
-            assert!(
-                checkpoint.is_none(),
-                "CheckRequest::from_checkpoint and CheckRequest::via_workspace are \
-                 mutually exclusive: a workspace manages its own reuse"
-            );
-            workspace.set_dms(self.dms.clone());
-            workspace.set_bound(self.b);
-            workspace.set_depth(self.config.depth);
-            workspace.set_max_configs(self.config.max_configs);
-            workspace.set_target(target);
-            return workspace.check();
-        }
-        match (target, checkpoint) {
-            (CheckTarget::Property(property), None) => {
+    /// Check one target — the single entry point for trace properties and state
+    /// invariants. A trace property must hold on **every** `b`-bounded run prefix up to
+    /// the depth budget (finite-prefix semantics); an invariant (a boolean FOL(R) query)
+    /// must hold in every reachable instance, with configurations deduplicated modulo
+    /// data isomorphism, so its verdict is exact for this recency bound whenever the
+    /// exploration saturates within the budget. A violation carries a counterexample
+    /// prefix.
+    pub fn run(&self, target: impl Into<CheckTarget>) -> Verdict {
+        match target.into() {
+            CheckTarget::Property(property) => {
                 let outcome = self.driver(false).search(
                     ExtendedRun::new(self.dms.initial_bconfig()),
                     |run: &ExtendedRun| !eval_sentence(&run.instances(), &property),
@@ -259,26 +217,7 @@ impl<'a> Explorer<'a> {
                     },
                 }
             }
-            (CheckTarget::Property(property), Some(checkpoint)) => {
-                let outcome = self.driver(false).resume(checkpoint, |run: &ExtendedRun| {
-                    !eval_sentence(&run.instances(), &property)
-                });
-                match outcome.hit {
-                    Some(counterexample) => Verdict::Violated {
-                        counterexample,
-                        stats: outcome.stats,
-                        certificate: None,
-                    },
-                    None => Verdict::Holds {
-                        complete: !outcome.budget_cutoff
-                            && !outcome.memory_cutoff
-                            && !outcome.cancelled,
-                        stats: outcome.stats,
-                        certificate: None,
-                    },
-                }
-            }
-            (CheckTarget::Invariant(invariant), None) => {
+            CheckTarget::Invariant(invariant) => {
                 let mut outcome = self.driver(true).search(
                     ExtendedRun::new(self.dms.initial_bconfig()),
                     |run: &ExtendedRun| {
@@ -328,41 +267,7 @@ impl<'a> Explorer<'a> {
                     }
                 }
             }
-            (CheckTarget::Invariant(invariant), Some(checkpoint)) => {
-                let outcome = self.driver(true).resume(checkpoint, |run: &ExtendedRun| {
-                    !rdms_db::eval::holds_boolean(run.last().instance(), &invariant)
-                        .unwrap_or(false)
-                });
-                match outcome.hit {
-                    Some(counterexample) => Verdict::Violated {
-                        counterexample,
-                        stats: outcome.stats,
-                        certificate: None,
-                    },
-                    None => Verdict::Holds {
-                        complete: outcome.complete(),
-                        stats: outcome.stats,
-                        certificate: None,
-                    },
-                }
-            }
         }
-    }
-
-    /// Check that **every** `b`-bounded run prefix (up to the depth budget) satisfies the
-    /// property under the finite-prefix semantics. Returns a counterexample prefix
-    /// otherwise. Thin wrapper over [`run`](Self::run) with a property target.
-    pub fn check(&self, property: &MsoFo) -> Verdict {
-        self.run(CheckRequest::property(property.clone()))
-    }
-
-    /// Continue an interrupted [`check`](Self::check) from a [`SearchCheckpoint`]: the
-    /// verdict (and its completeness flag) is equivalent to what the uninterrupted run
-    /// would have produced. The explorer must be configured for the same DMS, recency
-    /// bound and depth budget the checkpoint was taken under. Thin wrapper over
-    /// [`run`](Self::run).
-    pub fn check_from(&self, property: &MsoFo, checkpoint: SearchCheckpoint) -> Verdict {
-        self.run(CheckRequest::property(property.clone()).from_checkpoint(checkpoint))
     }
 
     /// Search for a `b`-bounded run prefix satisfying the property (finite-prefix
@@ -373,24 +278,6 @@ impl<'a> Explorer<'a> {
             |run: &ExtendedRun| eval_sentence(&run.instances(), property),
         );
         (outcome.hit, outcome.stats)
-    }
-
-    /// Check a **state invariant**: the boolean FOL(R) query must hold in every reachable
-    /// instance. Configurations are deduplicated modulo data isomorphism, so the verdict is
-    /// exact (for this recency bound) whenever the exploration saturates within the budget.
-    /// Thin wrapper over [`run`](Self::run) with an invariant target.
-    pub fn check_invariant(&self, invariant: &Query) -> Verdict {
-        self.run(CheckRequest::invariant(invariant.clone()))
-    }
-
-    /// Continue an interrupted [`check_invariant`](Self::check_invariant) from a
-    /// [`SearchCheckpoint`]: the verdict, completeness flag and explored-set statistics
-    /// are equivalent to what the uninterrupted run would have produced (the property
-    /// suite cuts searches at random points to check exactly this). Resumed searches do
-    /// not emit certificates — a search cut and resumed cannot prove closure over states
-    /// expanded before the cut. Thin wrapper over [`run`](Self::run).
-    pub fn check_invariant_from(&self, invariant: &Query, checkpoint: SearchCheckpoint) -> Verdict {
-        self.run(CheckRequest::invariant(invariant.clone()).from_checkpoint(checkpoint))
     }
 
     /// Search for a reachable instance satisfying the boolean query (state-based
@@ -440,32 +327,15 @@ impl<'a> Explorer<'a> {
 /// and counterexamples); [`TipNode`] keeps only the tip configuration (enough for state
 /// counting, and much cheaper to clone).
 pub(crate) trait SearchNode {
-    /// Whether nodes of this type serialise into checkpoint frontiers; checkpoint
-    /// policies are ignored entirely for node types that do not.
-    const CHECKPOINTABLE: bool = false;
     /// The configuration at the tip of this prefix.
     fn tip(&self) -> &BConfig;
     /// Number of actions taken from the initial configuration.
     fn depth(&self) -> usize;
     /// The prefix extended by one transition.
     fn child(&self, step: Step, next: BConfig) -> Self;
-    /// The node as a whole run prefix, when it carries one (checkpoint frontiers store
-    /// run prefixes; nodes that answer `None` cannot be checkpointed or resumed).
-    fn as_run(&self) -> Option<&ExtendedRun> {
-        None
-    }
-    /// Rebuild a node from a checkpointed run prefix (the inverse of [`Self::as_run`]).
-    fn from_run(_run: ExtendedRun) -> Option<Self>
-    where
-        Self: Sized,
-    {
-        None
-    }
 }
 
 impl SearchNode for ExtendedRun {
-    const CHECKPOINTABLE: bool = true;
-
     fn tip(&self) -> &BConfig {
         self.last()
     }
@@ -478,14 +348,6 @@ impl SearchNode for ExtendedRun {
         let mut extended = self.clone();
         extended.push(step, next);
         extended
-    }
-
-    fn as_run(&self) -> Option<&ExtendedRun> {
-        Some(self)
-    }
-
-    fn from_run(run: ExtendedRun) -> Option<Self> {
-        Some(run)
     }
 }
 
@@ -552,7 +414,7 @@ impl<N> SearchOutcome<N> {
 /// [`CheckStats::cutoff`]): cancellation dominates (an external command), then memory
 /// pressure (stops admission outright), then the configuration budget (merely caps the
 /// count). Several flags can be set on one search; exactly one reason is reported.
-fn cutoff_reason(cancelled: bool, memory: bool, configs: bool) -> Option<CutoffReason> {
+pub(crate) fn cutoff_reason(cancelled: bool, memory: bool, configs: bool) -> Option<CutoffReason> {
     if cancelled {
         Some(CutoffReason::Cancelled)
     } else if memory {
@@ -583,13 +445,6 @@ pub(crate) struct SearchDriver<'a> {
     dedup: bool,
 }
 
-/// How a search begins: fresh from a root node, or from a checkpoint's restored seen-set
-/// and frontier.
-enum Start<N> {
-    Root(N),
-    Resume(SearchCheckpoint),
-}
-
 impl<'a> SearchDriver<'a> {
     /// A driver for one DMS / recency bound. `dedup` enables deduplication modulo data
     /// isomorphism (state-based searches); trace searches must keep it off, since trace
@@ -614,41 +469,7 @@ impl<'a> SearchDriver<'a> {
 
     /// Run the search from `root`, returning the first node (in depth-first order) on
     /// which `is_hit` fires.
-    pub fn search<N, F>(&self, root: N, is_hit: F) -> SearchOutcome<N>
-    where
-        N: SearchNode,
-        F: FnMut(&N) -> bool,
-    {
-        self.explore(Start::Root(root), is_hit)
-    }
-
-    /// Continue a checkpointed search: re-intern the snapshot's seen keys
-    /// under this driver's interner (ids are interner-local, the canonical keys are the
-    /// portable identity), rebuild the depth-first stack and run the identical loop. The
-    /// final verdict, completeness flag and explored-set statistics are equivalent to
-    /// the uninterrupted run's.
-    pub fn resume<N, F>(&self, checkpoint: SearchCheckpoint, is_hit: F) -> SearchOutcome<N>
-    where
-        N: SearchNode,
-        F: FnMut(&N) -> bool,
-    {
-        assert_eq!(
-            checkpoint.bound,
-            self.sem.bound(),
-            "checkpoint was taken at a different recency bound"
-        );
-        assert_eq!(
-            checkpoint.depth, self.config.depth,
-            "checkpoint was taken at a different depth budget"
-        );
-        assert_eq!(
-            checkpoint.dedup, self.dedup,
-            "checkpoint was taken by a search with different deduplication"
-        );
-        self.explore(Start::Resume(checkpoint), is_hit)
-    }
-
-    fn explore<N, F>(&self, start_from: Start<N>, mut is_hit: F) -> SearchOutcome<N>
+    pub fn search<N, F>(&self, root: N, mut is_hit: F) -> SearchOutcome<N>
     where
         N: SearchNode,
         F: FnMut(&N) -> bool,
@@ -672,104 +493,35 @@ impl<'a> SearchDriver<'a> {
         // depth-bounded reachability fixpoint, independent of exploration order — the
         // property `Workspace` bound seeding relies on.
         let mut seen: HashMap<u64, usize> = HashMap::new();
-        // interned id → canonical key handle, maintained only when checkpointing a
-        // deduplicating search: the serialisable identity of every seen entry
-        let mut key_of: HashMap<u64, Arc<rdms_db::Instance>> = HashMap::new();
         let interner = self.interner();
-        let policy = self
-            .config
-            .checkpoint
-            .as_ref()
-            .filter(|_| N::CHECKPOINTABLE);
-        let track_keys = policy.is_some() && self.dedup;
-        // certificate recording is suppressed on checkpointed and resumed searches: a
-        // search cut and resumed cannot prove closure over states expanded before the cut
-        let mut recording: Option<RawEdges> = (self.dedup
-            && self.config.emit_certificate
-            && policy.is_none()
-            && matches!(start_from, Start::Root(_)))
-        .then(HashMap::new);
+        let mut recording: Option<RawEdges> =
+            (self.dedup && self.config.emit_certificate).then(HashMap::new);
 
         let mut hit = None;
         {
             let _scope = record_into(&counters);
-            let mut stack: Vec<(N, Option<RecordSeed>)> = Vec::new();
-            let mut peak = 1usize;
-            match start_from {
-                Start::Root(root) => {
-                    let mut root_seed = None;
-                    if self.dedup {
-                        if recording.is_some() {
-                            // the root's canonical key seeds both the seen-set and its
-                            // certificate record, so recording costs no extra
-                            // canonicalisation here either
-                            let key = canonical_config_key(root.tip(), &self.constants);
-                            let (id, handle) = interner.intern_handle(key);
-                            root_seed = Some(RecordSeed::new(id, handle));
-                            seen.insert(id, 0);
-                        } else if track_keys {
-                            let key = canonical_config_key(root.tip(), &self.constants);
-                            let (id, handle) = interner.intern_handle(key);
-                            seen.insert(id, 0);
-                            key_of.insert(id, handle);
-                        } else {
-                            seen.insert(
-                                intern_canonical_config_in(interner, root.tip(), &self.constants),
-                                0,
-                            );
-                        }
-                    }
-                    stack.push((root, root_seed));
-                }
-                Start::Resume(checkpoint) => {
-                    stats.prefixes_checked = checkpoint.prefixes_checked;
-                    stats.configs_explored = checkpoint.configs_explored;
-                    stats.configs_deduplicated = checkpoint.configs_deduplicated;
-                    depth_cutoff = checkpoint.depth_cutoff;
-                    mem_used = checkpoint.mem_used;
-                    peak = checkpoint.peak_frontier;
-                    for (key, depth) in checkpoint.seen {
-                        // a deserialised checkpoint owns its keys (refcount 1); an
-                        // in-process one shares them with the interner — clone then
-                        let key = Arc::try_unwrap(key).unwrap_or_else(|shared| (*shared).clone());
-                        let (id, handle) = interner.intern_handle(key);
-                        seen.insert(id, depth);
-                        if track_keys {
-                            key_of.insert(id, handle);
-                        }
-                    }
-                    for run in checkpoint.frontier {
-                        let node = N::from_run(run)
-                            .expect("checkpoint resume requires a run-carrying search");
-                        stack.push((node, None));
-                    }
+            let mut root_seed = None;
+            if self.dedup {
+                if recording.is_some() {
+                    // the root's canonical key seeds both the seen-set and its
+                    // certificate record, so recording costs no extra canonicalisation
+                    // here either
+                    let key = canonical_config_key(root.tip(), &self.constants);
+                    let (id, handle) = interner.intern_handle(key);
+                    root_seed = Some(RecordSeed::new(id, handle));
+                    seen.insert(id, 0);
+                } else {
+                    seen.insert(
+                        intern_canonical_config_in(interner, root.tip(), &self.constants),
+                        0,
+                    );
                 }
             }
-            let mut next_capture = policy
-                .map(|p| stats.configs_explored + p.every_configs)
-                .unwrap_or(usize::MAX);
+            let mut stack: Vec<(N, Option<RecordSeed>)> = vec![(root, root_seed)];
+            let mut peak = 1usize;
             loop {
-                // cooperative snapshot at the admission cadence: captured *before* the
-                // pop so the snapshot's frontier is exactly the unexpanded work
-                if let Some(policy) = policy {
-                    if policy.every_configs > 0 && stats.configs_explored >= next_capture {
-                        if let Some(checkpoint) = self.capture_checkpoint(
-                            &seen,
-                            &key_of,
-                            &stack,
-                            &stats,
-                            depth_cutoff,
-                            mem_used,
-                            peak,
-                        ) {
-                            policy.store(checkpoint);
-                        }
-                        next_capture = stats.configs_explored + policy.every_configs;
-                    }
-                }
                 // one cooperative poll per expanded configuration: the unit of work that
-                // bounds how late a deadline can be noticed. Polled before the pop so a
-                // cancelled search leaves the interrupted node in the checkpoint frontier.
+                // bounds how late a deadline can be noticed
                 if self
                     .config
                     .cancel
@@ -833,14 +585,6 @@ impl<'a> SearchDriver<'a> {
                                 continue;
                             }
                             child_seed = Some(RecordSeed::new(id, handle));
-                        } else if track_keys {
-                            let key = canonical_config_key(&next, &self.constants);
-                            let (id, handle) = interner.intern_handle(key);
-                            if !record_min_depth(&mut seen, id, child_depth) {
-                                stats.configs_deduplicated += 1;
-                                continue;
-                            }
-                            key_of.insert(id, handle);
                         } else {
                             let id = intern_canonical_config_in(interner, &next, &self.constants);
                             if !record_min_depth(&mut seen, id, child_depth) {
@@ -854,22 +598,6 @@ impl<'a> SearchDriver<'a> {
                 }
                 if let (Some(map), Some((seed, successors))) = (recording.as_mut(), record) {
                     map.insert(seed.id, (seed.key, successors));
-                }
-            }
-            // final snapshot, whatever stopped the loop (completion, cancellation or a
-            // cutoff): the caller's policy handle always holds a resumable state no older
-            // than the cadence
-            if let Some(policy) = policy {
-                if let Some(checkpoint) = self.capture_checkpoint(
-                    &seen,
-                    &key_of,
-                    &stack,
-                    &stats,
-                    depth_cutoff,
-                    mem_used,
-                    peak,
-                ) {
-                    policy.store(checkpoint);
                 }
             }
             stats.peak_frontier = peak;
@@ -905,41 +633,6 @@ impl<'a> SearchDriver<'a> {
             distinct_states: seen.len(),
             edges,
         }
-    }
-
-    /// Snapshot the search loop's resumable state. Returns `None` when the nodes do
-    /// not carry runs ([`TipNode`] searches — nothing to serialise a frontier from).
-    #[allow(clippy::too_many_arguments)]
-    fn capture_checkpoint<N: SearchNode>(
-        &self,
-        seen: &HashMap<u64, usize>,
-        key_of: &HashMap<u64, Arc<rdms_db::Instance>>,
-        stack: &[(N, Option<RecordSeed>)],
-        stats: &CheckStats,
-        depth_cutoff: bool,
-        mem_used: usize,
-        peak: usize,
-    ) -> Option<SearchCheckpoint> {
-        let frontier: Vec<ExtendedRun> = stack
-            .iter()
-            .map(|(node, _)| node.as_run().cloned())
-            .collect::<Option<_>>()?;
-        Some(SearchCheckpoint {
-            bound: self.sem.bound(),
-            depth: self.config.depth,
-            dedup: self.dedup,
-            seen: seen
-                .iter()
-                .map(|(id, depth)| (Arc::clone(&key_of[id]), *depth))
-                .collect(),
-            frontier,
-            prefixes_checked: stats.prefixes_checked,
-            configs_explored: stats.configs_explored,
-            configs_deduplicated: stats.configs_deduplicated,
-            peak_frontier: peak,
-            mem_used,
-            depth_cutoff,
-        })
     }
 }
 
@@ -1019,7 +712,7 @@ fn record_min_depth(seen: &mut HashMap<u64, usize>, id: u64, depth: usize) -> bo
 /// Fill in the derived statistics fields from this search's exact sharing/index counters
 /// (the search recorded into them through a [`record_into`] scope, so the figures are
 /// exact even when unrelated searches run concurrently).
-fn finish_stats(stats: &mut CheckStats, counters: &SearchCounters) {
+pub(crate) fn finish_stats(stats: &mut CheckStats, counters: &SearchCounters) {
     stats.dedup_hit_rate = if stats.configs_explored == 0 {
         0.0
     } else {
@@ -1056,7 +749,7 @@ mod tests {
         let dms = example_3_1();
         let explorer = Explorer::new(&dms, 2).with_config(config(4, 5_000));
         // "p always holds" is violated (β and γ delete p)
-        let verdict = explorer.check_invariant(&Query::prop(r("p")));
+        let verdict = explorer.run(Query::prop(r("p")));
         assert!(!verdict.holds());
         let cex = verdict.counterexample().unwrap();
         assert!(!cex.last().instance().proposition(r("p")));
@@ -1075,7 +768,7 @@ mod tests {
             u,
             Query::atom(r("Q"), [u]).implies(Query::atom(r("Q"), [u])),
         );
-        let verdict = explorer.check_invariant(&invariant);
+        let verdict = explorer.run(invariant);
         assert!(verdict.holds());
         assert!(verdict.stats().configs_explored > 0);
     }
@@ -1101,7 +794,7 @@ mod tests {
         let explorer = Explorer::new(&dms, 2).with_config(config(3, 2_000));
 
         // "p holds at every position" as an MSO-FO sentence: violated
-        let verdict = explorer.check(&templates::invariant(Query::prop(r("p"))));
+        let verdict = explorer.run(templates::invariant(Query::prop(r("p"))));
         assert!(!verdict.holds());
 
         // "p holds at some position" has a witness (already the empty prefix: I₀ ⊨ p)
@@ -1141,7 +834,7 @@ mod tests {
     fn deduplication_reduces_work() {
         let dms = example_3_1();
         let explorer = Explorer::new(&dms, 2).with_config(config(4, 50_000));
-        let verdict = explorer.check_invariant(&Query::True);
+        let verdict = explorer.run(Query::True);
         assert!(verdict.holds());
         assert!(verdict.stats().configs_deduplicated > 0);
         assert!(verdict.stats().dedup_hit_rate > 0.0);
@@ -1154,14 +847,14 @@ mod tests {
         let dms = example_3_1();
 
         let explorer = Explorer::new(&dms, 2).with_config(config(3, 5_000));
-        let verdict = explorer.check_invariant(&Query::prop(r("p")));
+        let verdict = explorer.run(Query::prop(r("p")));
         assert!(!verdict.holds());
         assert_eq!(verdict.counterexample().map(|c| c.len()), Some(2));
         assert_eq!(verdict.stats().prefixes_checked, 3);
         assert_eq!(verdict.stats().configs_explored, 4);
         assert_eq!(verdict.stats().configs_deduplicated, 0);
 
-        let verdict = explorer.check(&templates::invariant(Query::prop(r("p"))));
+        let verdict = explorer.run(templates::invariant(Query::prop(r("p"))));
         assert!(!verdict.holds());
         assert_eq!(verdict.counterexample().map(|c| c.len()), Some(2));
         assert_eq!(verdict.stats().prefixes_checked, 3);
@@ -1193,9 +886,9 @@ mod tests {
                 ..ExplorerConfig::default()
             });
             let verdict = if trace {
-                explorer.check(&templates::invariant(Query::prop(r("p"))))
+                explorer.run(templates::invariant(Query::prop(r("p"))))
             } else {
-                explorer.check_invariant(&Query::True)
+                explorer.run(Query::True)
             };
             CheckStats {
                 elapsed: Duration::ZERO,
@@ -1237,7 +930,7 @@ mod tests {
     fn peak_frontier_and_throughput_are_reported() {
         let dms = example_3_1();
         let explorer = Explorer::new(&dms, 2).with_config(config(4, 50_000));
-        let verdict = explorer.check_invariant(&Query::True);
+        let verdict = explorer.run(Query::True);
         let stats = verdict.stats();
         assert!(stats.peak_frontier >= 1);
         assert_eq!(stats.threads, 1);
@@ -1250,7 +943,7 @@ mod tests {
     fn sharing_and_index_statistics_are_reported() {
         let dms = example_3_1();
         let explorer = Explorer::new(&dms, 2).with_config(config(4, 50_000));
-        let verdict = explorer.check_invariant(&Query::True);
+        let verdict = explorer.run(Query::True);
         let stats = verdict.stats();
         // the search clones configurations constantly; the COW representation must have
         // shared far more relation handles than it materialised
@@ -1278,7 +971,7 @@ mod tests {
         let reference_dms = build();
         let reference = Explorer::new(&reference_dms, 2)
             .with_config(config(4, 50_000))
-            .check_invariant(&Query::True);
+            .run(Query::True);
 
         // Re-run the same search while other threads generate heavy unrelated counter
         // traffic (searches of their own plus raw instance churn). With global-delta
@@ -1297,7 +990,7 @@ mod tests {
                         // unrelated searches + instance clones + index probes
                         let _ = Explorer::new(&noisy_dms, 1)
                             .with_config(config(2, 100))
-                            .check_invariant(&Query::True);
+                            .run(Query::True);
                         let mut inst = Instance::new();
                         for i in 0..32u64 {
                             inst.insert(rdms_db::RelName::new("N"), vec![rdms_db::DataValue(i)]);
@@ -1312,7 +1005,7 @@ mod tests {
             let observed_dms = build();
             let observed = Explorer::new(&observed_dms, 2)
                 .with_config(config(4, 50_000))
-                .check_invariant(&Query::True);
+                .run(Query::True);
             stop.store(true, Ordering::Relaxed);
             observed
         });
@@ -1342,8 +1035,8 @@ mod tests {
         assert_eq!(count_private, count_global);
         assert_eq!(sat_private, sat_global);
         assert_eq!(
-            private.check_invariant(&Query::prop(r("p"))).holds(),
-            global.check_invariant(&Query::prop(r("p"))).holds()
+            private.run(Query::prop(r("p"))).holds(),
+            global.run(Query::prop(r("p"))).holds()
         );
 
         // the private interner holds exactly this system's distinct canonical keys (the
@@ -1398,13 +1091,13 @@ mod tests {
         let dms = dead_end_dms();
         let explorer =
             Explorer::new(&dms, 2).with_config(config(8, 50_000).with_emit_certificate(true));
-        let verdict = explorer.check_invariant(&tautology);
+        let verdict = explorer.run(tautology.clone());
         assert!(verdict.holds());
         let cert = verdict.certificate().expect("safe certificate");
         cert.verify().expect("independent verifier accepts");
 
         // "start always holds" is violated by opening → a replayable Violation certificate
-        let verdict = explorer.check_invariant(&Query::prop(r("start")));
+        let verdict = explorer.run(Query::prop(r("start")));
         assert!(!verdict.holds());
         let cert = verdict.certificate().expect("violation certificate");
         cert.verify().expect("independent verifier accepts");
@@ -1414,31 +1107,28 @@ mod tests {
         let rich = example_3_1();
         let explorer =
             Explorer::new(&rich, 2).with_config(config(4, 50_000).with_emit_certificate(true));
-        let verdict = explorer.check_invariant(&Query::prop(r("p")));
+        let verdict = explorer.run(Query::prop(r("p")));
         assert!(!verdict.holds());
         let cert = verdict.certificate().expect("violation certificate");
         cert.verify().expect("independent verifier accepts");
 
         // the default configuration records nothing and attaches nothing
         let off = Explorer::new(&dms, 2).with_config(config(8, 50_000));
-        assert!(off.check_invariant(&tautology).certificate().is_none());
-        assert!(off
-            .check_invariant(&Query::prop(r("start")))
-            .certificate()
-            .is_none());
+        assert!(off.run(tautology).certificate().is_none());
+        assert!(off.run(Query::prop(r("start"))).certificate().is_none());
     }
 
     #[test]
     fn memory_budgets_degrade_gracefully_on_both_engines() {
-        // the trace search (`check`) and the deduplicating search (`check_invariant`)
-        // admit successors through the same meter
+        // the trace search (a property target) and the deduplicating search (an invariant
+        // target) admit successors through the same meter
         let dms = example_3_1();
         let verdict = |config: ExplorerConfig, dedup: bool, target: Query| {
             let explorer = Explorer::new(&dms, 2).with_config(config);
             if dedup {
-                explorer.check_invariant(&target)
+                explorer.run(target)
             } else {
-                explorer.check(&templates::invariant(target))
+                explorer.run(templates::invariant(target))
             }
         };
         for dedup in [false, true] {
@@ -1511,7 +1201,7 @@ mod tests {
         fired.cancel();
         let all_three = Explorer::new(&dms, 2)
             .with_config(config(4, 0).with_cancel(fired).with_memory_budget_bytes(0));
-        let verdict = all_three.check_invariant(&Query::True);
+        let verdict = all_three.run(Query::True);
         assert_eq!(verdict.stats().cutoff, Some(CutoffReason::Cancelled));
         assert!(matches!(
             verdict,
@@ -1526,7 +1216,7 @@ mod tests {
         // budget is ever consulted again
         let memory_and_configs =
             Explorer::new(&dms, 2).with_config(config(4, 50_000).with_memory_budget_bytes(0));
-        let verdict = memory_and_configs.check_invariant(&Query::True);
+        let verdict = memory_and_configs.run(Query::True);
         assert_eq!(verdict.stats().cutoff, Some(CutoffReason::Memory));
         assert!(matches!(
             verdict,
@@ -1538,7 +1228,7 @@ mod tests {
 
         // and with memory unbounded, the configuration budget is the reason
         let configs_only = Explorer::new(&dms, 2).with_config(config(4, 1));
-        let verdict = configs_only.check_invariant(&Query::True);
+        let verdict = configs_only.run(Query::True);
         assert_eq!(verdict.stats().cutoff, Some(CutoffReason::Configs));
         assert!(matches!(
             verdict,
@@ -1547,117 +1237,5 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn checkpoints_resume_to_the_uninterrupted_verdict() {
-        use crate::checkpoint::{CheckpointPolicy, SearchCheckpoint};
-
-        let dms = example_3_1();
-        let reference = Explorer::new(&dms, 2)
-            .with_config(config(4, 50_000))
-            .check_invariant(&Query::prop(r("p")));
-
-        // cut at the very start: a pre-fired deadline stops the search before the first
-        // expansion, the stop snapshot holds the whole remaining work
-        let fired = rdms_core::CancelToken::new();
-        fired.cancel();
-        let policy = CheckpointPolicy::on_stop();
-        let cancelled = Explorer::new(&dms, 2)
-            .with_config(
-                config(4, 50_000)
-                    .with_cancel(fired)
-                    .with_checkpoint(policy.clone()),
-            )
-            .check_invariant(&Query::prop(r("p")));
-        assert!(matches!(
-            cancelled,
-            Verdict::Holds {
-                complete: false,
-                ..
-            }
-        ));
-        assert_eq!(cancelled.stats().cutoff, Some(CutoffReason::Cancelled));
-        let checkpoint = policy.take().expect("stop snapshot");
-
-        // …and survives the wire: resume from the JSON round trip of the snapshot
-        let checkpoint =
-            SearchCheckpoint::from_json(&checkpoint.to_json()).expect("portable checkpoint");
-        let resumed = Explorer::new(&dms, 2)
-            .with_config(config(4, 50_000))
-            .check_invariant_from(&Query::prop(r("p")), checkpoint);
-        assert_eq!(resumed.holds(), reference.holds());
-        assert_eq!(
-            resumed.counterexample().map(|c| c.len()),
-            reference.counterexample().map(|c| c.len())
-        );
-        assert_eq!(
-            resumed.stats().prefixes_checked,
-            reference.stats().prefixes_checked
-        );
-        assert_eq!(
-            resumed.stats().configs_explored,
-            reference.stats().configs_explored
-        );
-        assert_eq!(
-            resumed.stats().configs_deduplicated,
-            reference.stats().configs_deduplicated
-        );
-
-        // a search that ran to completion leaves a resumable stop snapshot too: resuming
-        // it re-explores nothing and reproduces the cumulative statistics
-        let policy = CheckpointPolicy::every(3);
-        let complete = Explorer::new(&dms, 2)
-            .with_config(config(4, 50_000).with_checkpoint(policy.clone()))
-            .check_invariant(&Query::True);
-        assert!(complete.holds());
-        let final_snapshot = policy.take().expect("stop snapshot");
-        let replay = Explorer::new(&dms, 2)
-            .with_config(config(4, 50_000))
-            .check_invariant_from(&Query::True, final_snapshot);
-        assert_eq!(replay.holds(), complete.holds());
-        assert_eq!(
-            replay.stats().configs_explored,
-            complete.stats().configs_explored
-        );
-        assert_eq!(
-            replay.stats().prefixes_checked,
-            complete.stats().prefixes_checked
-        );
-    }
-
-    #[test]
-    fn checkpointing_forces_the_sequential_engine_and_suppresses_certificates() {
-        use crate::checkpoint::CheckpointPolicy;
-
-        let dms = example_3_1();
-        let policy = CheckpointPolicy::every(10);
-        let verdict = Explorer::new(&dms, 2)
-            .with_config(
-                config(4, 50_000)
-                    .with_emit_certificate(true)
-                    .with_checkpoint(policy.clone()),
-            )
-            .check_invariant(&Query::True);
-        assert!(
-            verdict.certificate().is_none(),
-            "a resumable search cannot also prove closure"
-        );
-        assert!(policy.has_snapshot());
-
-        // trace searches checkpoint too (their frontier carries run prefixes)…
-        let policy = CheckpointPolicy::on_stop();
-        let explorer =
-            Explorer::new(&dms, 2).with_config(config(3, 2_000).with_checkpoint(policy.clone()));
-        let verdict = explorer.check(&templates::invariant(Query::prop(r("p"))));
-        assert!(!verdict.holds());
-        assert!(policy.has_snapshot());
-
-        // …while state-count searches carry no runs and leave the slot empty
-        let policy = CheckpointPolicy::on_stop();
-        let explorer =
-            Explorer::new(&dms, 2).with_config(config(3, 10_000).with_checkpoint(policy.clone()));
-        let _ = explorer.reachable_state_count();
-        assert!(!policy.has_snapshot());
     }
 }

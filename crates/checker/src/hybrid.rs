@@ -172,7 +172,7 @@ mod tests {
             templates::proposition_reachable(r("p")),
         ] {
             let via_hybrid = hybrid.check(&property).holds();
-            let via_explorer = explorer.check(&property).holds();
+            let via_explorer = explorer.run(property.clone()).holds();
             // NB: the engines use slightly different prefix semantics (the hybrid engine's
             // positions exclude the final instance), so we only require agreement on the
             // verdict for these state-insensitive properties, which is what the paper's

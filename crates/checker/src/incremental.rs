@@ -1,7 +1,7 @@
 //! Incremental single-step checking for long-lived sessions.
 //!
-//! The one-shot entry points ([`Explorer::check_invariant`](crate::Explorer::check_invariant)
-//! and friends) answer "could any `b`-bounded run violate φ?" by searching the bounded
+//! The one-shot entry points ([`Explorer::run`](crate::Explorer::run) and friends)
+//! answer "could any `b`-bounded run violate φ?" by searching the bounded
 //! configuration graph from scratch. A *serving* deployment asks a different question many
 //! times over: "here is the next transaction of **this** session's run — is the invariant
 //! still satisfied?". Re-running the search per transaction would pay the whole exploration
@@ -836,7 +836,7 @@ mod tests {
                 max_configs: 10_000,
                 ..ExplorerConfig::default()
             })
-            .check_invariant(&no_q);
+            .run(no_q);
         assert!(
             !from_scratch.holds(),
             "explorer must also find the violation"

@@ -18,9 +18,6 @@
 //!   (by construction, never building `ϕ_valid` as an automaton) up to a depth bound,
 //!   evaluates MSO-FO properties on the decoded runs, deduplicates configurations modulo
 //!   data isomorphism for state-based properties, and produces counterexample runs;
-//! * [`checkpoint`] — serialisable [`SearchCheckpoint`] snapshots and the cooperative
-//!   [`CheckpointPolicy`] cadence, so long explorer searches survive cancellation and
-//!   process restarts and resume with an equivalent verdict;
 //! * [`hybrid`] — the **reduction-faithful** engine for the tractable fragment: encodes runs
 //!   as nested words and checks the translated property on the *encoding* with the MSO_NW
 //!   machinery (direct evaluation or compiled VPAs), cross-validating the Section 6.5
@@ -31,15 +28,13 @@
 //!   once, then validate and check each further transaction in time independent of the
 //!   session length (the engine behind the `rdms-serve` verification service), now with
 //!   in-place [`revise`](IncrementalChecker::revise) for live DMS/bound/invariant edits;
-//! * [`request`] — the unified [`CheckRequest`]/[`CheckTarget`] vocabulary consumed by
-//!   [`Explorer::run`] and [`SessionRequest::open`], replacing the per-engine method
-//!   families (which survive as thin wrappers);
+//! * [`request`] — the [`CheckTarget`] vocabulary (trace property or state invariant)
+//!   consumed by [`Explorer::run`], [`Workspace`] and [`SessionRequest::open`];
 //! * [`revision`] — revision-keyed incremental re-verification: a [`Workspace`] holding
 //!   DMS, target and bound as fingerprinted versioned inputs, memoizing explored
 //!   fixpoints and re-expanding only what an edit can have invalidated;
 //! * [`verdict`] — verdicts, counterexamples and statistics shared by the engines.
 
-pub mod checkpoint;
 pub mod encoding;
 pub mod explorer;
 pub mod formulas;
@@ -51,7 +46,6 @@ pub mod revision;
 pub mod translate;
 pub mod verdict;
 
-pub use checkpoint::{CheckpointPolicy, SearchCheckpoint};
 pub use encoding::{EncodingAlphabet, RunEncoder};
 pub use explorer::{Explorer, ExplorerConfig};
 pub use incremental::{IncrementalChecker, ReviseOutcome, StepVerdict};

@@ -1,27 +1,18 @@
-//! The unified check-request vocabulary: one way to say *what* to verify.
+//! The check-request vocabulary: one way to say *what* to verify.
 //!
-//! Historically every engine grew its own method family — the explorer had four entry
-//! points (`check`, `check_from`, `check_invariant`, `check_invariant_from`) and the
-//! incremental checker a parallel constructor set — all encoding the same two choices:
-//! a **target** (trace property or state invariant) and an optional starting point. This
-//! module collapses the vocabulary:
+//! Every engine answers the same question — does a **target** (trace property or state
+//! invariant) hold — so one type names it:
 //!
-//! * [`CheckTarget`] — property-or-invariant, shared by every engine;
-//! * [`CheckRequest`] — a builder for one-shot explorer runs ([`Explorer::run`]):
-//!   target + optional [`SearchCheckpoint`] to resume + optional [`Workspace`] to
-//!   memoize through;
+//! * [`CheckTarget`] — property-or-invariant, shared by every engine: the argument of
+//!   [`Explorer::run`], the target of a [`Workspace`], and the target of a session;
 //! * [`SessionRequest`] — the same vocabulary for opening an [`IncrementalChecker`]
-//!   session, including the session-level cancellation token that fixes the naming drift
-//!   between `IncrementalChecker::check_with_cancel` and `ExplorerConfig::with_cancel`.
-//!
-//! The legacy methods survive as thin wrappers, so call sites migrate incrementally.
+//!   session, including the session-level cancellation token.
 //!
 //! [`Explorer::run`]: crate::Explorer::run
 //! [`IncrementalChecker`]: crate::IncrementalChecker
+//! [`Workspace`]: crate::Workspace
 
-use crate::checkpoint::SearchCheckpoint;
 use crate::incremental::IncrementalChecker;
-use crate::revision::Workspace;
 use rdms_core::{CancelToken, CoreError, Dms};
 use rdms_db::Query;
 use rdms_logic::msofo::MsoFo;
@@ -92,57 +83,9 @@ impl From<Query> for CheckTarget {
     }
 }
 
-/// One explorer check, fully described: the target, optionally a checkpoint to resume
-/// from, optionally a [`Workspace`] to route the check through (memoized re-verification
-/// across revisions). Consumed by [`Explorer::run`](crate::Explorer::run).
-pub struct CheckRequest<'w> {
-    pub(crate) target: CheckTarget,
-    pub(crate) checkpoint: Option<SearchCheckpoint>,
-    pub(crate) workspace: Option<&'w mut Workspace>,
-}
-
-impl<'w> CheckRequest<'w> {
-    /// A request for the given target, starting fresh.
-    pub fn new(target: impl Into<CheckTarget>) -> CheckRequest<'w> {
-        CheckRequest {
-            target: target.into(),
-            checkpoint: None,
-            workspace: None,
-        }
-    }
-
-    /// A trace-property request.
-    pub fn property(property: MsoFo) -> CheckRequest<'w> {
-        CheckRequest::new(CheckTarget::Property(property))
-    }
-
-    /// A state-invariant request.
-    pub fn invariant(invariant: Query) -> CheckRequest<'w> {
-        CheckRequest::new(CheckTarget::Invariant(invariant))
-    }
-
-    /// Resume from a [`SearchCheckpoint`] instead of the initial configuration. The
-    /// explorer must be configured for the same DMS, recency bound and depth budget the
-    /// checkpoint was taken under. Mutually exclusive with
-    /// [`via_workspace`](Self::via_workspace) — a workspace manages its own reuse.
-    pub fn from_checkpoint(mut self, checkpoint: SearchCheckpoint) -> Self {
-        self.checkpoint = Some(checkpoint);
-        self
-    }
-
-    /// Route the check through a revision [`Workspace`]: the explorer's DMS, bound and
-    /// budgets are pushed into the workspace as (fingerprint-deduplicated) revisions and
-    /// the verdict comes from the workspace's memo table — O(1) when nothing changed.
-    pub fn via_workspace(mut self, workspace: &'w mut Workspace) -> CheckRequest<'w> {
-        self.workspace = Some(workspace);
-        self
-    }
-
-    /// The request's target.
-    pub fn target(&self) -> &CheckTarget {
-        &self.target
-    }
-}
+/// The former name of [`CheckTarget`], kept as an alias so callers written against
+/// `CheckRequest::{invariant, property}` keep compiling.
+pub type CheckRequest = CheckTarget;
 
 /// An incremental-session request in the same vocabulary: DMS + bound + [`CheckTarget`]
 /// (+ certificate emission + a session-level [`CancelToken`]). [`open`](Self::open)
@@ -190,6 +133,7 @@ impl SessionRequest {
     /// [`Workspace`] instead).
     ///
     /// [`Explorer::run`]: crate::Explorer::run
+    /// [`Workspace`]: crate::Workspace
     pub fn open(self) -> Result<IncrementalChecker, CoreError> {
         let invariant = match self.target {
             CheckTarget::Invariant(q) => q,

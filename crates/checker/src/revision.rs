@@ -57,14 +57,14 @@
 //! least-recently-verified entries are dropped first (then the φ-memo) when
 //! [`memory_bytes`](Workspace::memory_bytes) would exceed it.
 
-use crate::checkpoint::SearchCheckpoint;
-use crate::explorer::{Explorer, ExplorerConfig};
+use crate::explorer::{cutoff_reason, finish_stats, Explorer, ExplorerConfig};
 use crate::request::CheckTarget;
 use crate::verdict::{CheckStats, Verdict};
 use rdms_core::fingerprint::{dms_delta, dms_fingerprint, DmsFingerprint, UnchangedActions};
 use rdms_core::iso::canonical_config_key;
 use rdms_core::{BConfig, Dms, ExtendedRun, KeyInterner, RecencySemantics, Step};
 use rdms_db::heap::HeapSize;
+use rdms_db::metrics::{record_into, SearchCounters};
 use rdms_db::{Instance, Query};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -400,44 +400,6 @@ impl Workspace {
             .map(|set| set.states.len())
     }
 
-    /// Export the current inputs' explored set as a [`SearchCheckpoint`] seeding a
-    /// search at recency bound `bound >= self.bound()`: the seen-set is pre-populated at
-    /// the memoized min-depths and **every** state re-enters the frontier, so
-    /// [`Explorer::run`](crate::Explorer::run) with
-    /// [`from_checkpoint`](crate::CheckRequest::from_checkpoint) at the larger bound
-    /// re-expands each state under the new window — the same machinery resumed
-    /// checkpoints use, and the interop the oracle tests drive. `None` when no
-    /// saturated set is memoized for the current inputs or `bound` is smaller than the
-    /// set's bound.
-    pub fn seed_checkpoint(&self, bound: usize) -> Option<SearchCheckpoint> {
-        if bound < self.bound {
-            return None;
-        }
-        let set = self
-            .memo
-            .get(&self.key())
-            .and_then(|e| e.explored.as_ref())?;
-        let mut states: Vec<&StateEntry> = set.states.values().collect();
-        // deterministic seed order: shallow states last, so they pop first
-        states.sort_by(|a, b| (b.depth, &*b.key).cmp(&(a.depth, &*a.key)));
-        Some(SearchCheckpoint {
-            bound,
-            depth: self.depth,
-            dedup: true,
-            seen: states
-                .iter()
-                .map(|st| (Arc::clone(&st.key), st.depth))
-                .collect(),
-            frontier: states.iter().map(|st| st.run.clone()).collect(),
-            prefixes_checked: 0,
-            configs_explored: 0,
-            configs_deduplicated: 0,
-            peak_frontier: states.len(),
-            mem_used: 0,
-            depth_cutoff: false,
-        })
-    }
-
     fn key(&self) -> MemoKey {
         MemoKey {
             dms_fp: self.prints.whole,
@@ -477,7 +439,7 @@ impl Workspace {
                 self.report.reuse = Reuse::FullRun;
                 Explorer::new(&self.dms, self.bound)
                     .with_config(self.explorer_config())
-                    .check(&property)
+                    .run(property)
             }
             CheckTarget::Invariant(invariant) => self.check_invariant(&key, &invariant),
         };
@@ -668,6 +630,10 @@ impl Workspace {
         let mut depth_cutoff = false;
         let mut budget_cutoff = false;
         let mut peak = 1usize;
+        // the explorer's per-search counter scope, so sharing and index statistics are
+        // exact here too
+        let counters = Arc::new(SearchCounters::new());
+        let scope = record_into(&counters);
 
         match &seed {
             Some(set) => {
@@ -820,14 +786,13 @@ impl Workspace {
                 peak = peak.max(stack.len());
             }
         }
+        // flush this thread's tallies into `counters` before reading them
+        drop(scope);
 
         stats.peak_frontier = peak;
-        stats.dedup_hit_rate = if stats.configs_explored > 0 {
-            stats.configs_deduplicated as f64 / stats.configs_explored as f64
-        } else {
-            0.0
-        };
         stats.elapsed = start.elapsed();
+        stats.cutoff = cutoff_reason(false, false, budget_cutoff);
+        finish_stats(&mut stats, &counters);
         self.report.distinct_states = (hit.is_none() && !budget_cutoff).then_some(seen.len());
 
         match hit {

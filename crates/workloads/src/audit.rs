@@ -161,7 +161,7 @@ mod tests {
             max_configs: 10_000,
             ..Default::default()
         });
-        let verdict = explorer.check_invariant(&first_stream_has_a_head());
+        let verdict = explorer.run(first_stream_has_a_head());
         assert!(verdict.holds());
         assert!(verdict.stats().configs_explored > 0);
     }

@@ -117,7 +117,7 @@ mod tests {
             max_configs: 10_000,
             ..Default::default()
         });
-        let verdict = explorer.check_invariant(&first_ledger_stays_populated());
+        let verdict = explorer.run(first_ledger_stays_populated());
         assert!(verdict.holds());
         assert!(verdict.stats().configs_explored > 0);
     }

@@ -93,7 +93,7 @@ fn main() {
             ),
         ),
     );
-    let verdict = explorer.run(CheckRequest::invariant(invariant));
+    let verdict = explorer.run(invariant);
     println!("  every booking's offer has a lifecycle state: {verdict}");
 
     // an offer is never both available and on hold
@@ -109,7 +109,7 @@ fn main() {
             [Term::Var(o), Term::Value(agency.states.onhold)],
         )),
     );
-    let verdict = explorer.run(CheckRequest::invariant(both.not()));
+    let verdict = explorer.run(both.not());
     println!("  no offer is simultaneously avail and onhold : {verdict}");
 
     // unboundedness: offers can pile up (Example 3.2's "unbounded in many dimensions")

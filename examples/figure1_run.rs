@@ -110,7 +110,7 @@ fn main() {
         }
         .with_emit_certificate(true),
     );
-    let verdict = explorer.run(CheckRequest::invariant(Query::prop(RelName::new("p"))));
+    let verdict = explorer.run(Query::prop(RelName::new("p")));
     println!("  {verdict}");
     let cex = verdict.counterexample().expect("p is violated");
     println!("{}", cex.display_with(&dms));

@@ -84,7 +84,7 @@ fn main() {
             .and(Query::atom(RelName::new("Resolved"), [t]))
             .not(),
     );
-    let verdict = explorer.run(CheckRequest::invariant(invariant.clone()));
+    let verdict = explorer.run(invariant.clone());
     println!("\n[invariant]  escalated ∧ resolved is impossible: {verdict}");
 
     // 2. Reachability: some ticket can be resolved.
@@ -108,7 +108,7 @@ fn main() {
         Query::atom(RelName::new("Open"), [t]),
         Query::atom(RelName::new("Resolved"), [t]).or(Query::atom(RelName::new("Escalated"), [t])),
     );
-    let verdict = explorer.run(CheckRequest::property(property));
+    let verdict = explorer.run(property);
     println!("[response ]  every open ticket is eventually closed: {verdict}");
     if let Some(cex) = verdict.counterexample() {
         println!(

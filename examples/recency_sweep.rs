@@ -26,7 +26,7 @@ fn sweep(name: &str, dms: &Dms, property: &MsoFo, max_b: usize, depth: usize) {
             ..Default::default()
         });
         let (states, saturated) = explorer.reachable_state_count();
-        let verdict = explorer.run(CheckRequest::property(property.clone()));
+        let verdict = explorer.run(property.clone());
         println!(
             "  {:>3} | {:>10} | {:>10} | {:>9} | {}",
             b,

@@ -26,7 +26,7 @@
 //!
 //! // recency-bounded model checking at b = 2: "p always holds" is violated
 //! let explorer = Explorer::new(&dms, 2);
-//! let verdict = explorer.check_invariant(&Query::prop(RelName::new("p")));
+//! let verdict = explorer.run(Query::prop(RelName::new("p")));
 //! assert!(!verdict.holds());
 //! println!("{verdict}");
 //! ```
@@ -45,8 +45,8 @@ pub use rdms_workloads as workloads;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use rdms_checker::{
-        CheckRequest, CheckStats, CheckTarget, Explorer, ExplorerConfig, RunEncoder,
-        SessionRequest, Verdict, Workspace,
+        CheckStats, CheckTarget, Explorer, ExplorerConfig, RunEncoder, SessionRequest, Verdict,
+        Workspace,
     };
     pub use rdms_core::{
         Action, ActionBuilder, BConfig, ConcreteSemantics, Config, Dms, DmsBuilder, ExtendedRun,

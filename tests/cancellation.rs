@@ -22,7 +22,7 @@ fn a_pre_cancelled_search_is_reported_incomplete() {
     cancel.cancel();
     let explorer =
         Explorer::new(&dms, 2).with_config(ExplorerConfig::default().with_cancel(cancel));
-    match explorer.check_invariant(&invariant) {
+    match explorer.run(invariant) {
         Verdict::Holds { complete, .. } => {
             assert!(
                 !complete,
@@ -40,7 +40,7 @@ fn an_expired_deadline_is_reported_incomplete() {
     let invariant = parse_query("true").unwrap();
     let explorer =
         Explorer::new(&dms, 2).with_config(ExplorerConfig::default().with_deadline(Duration::ZERO));
-    match explorer.check_invariant(&invariant) {
+    match explorer.run(invariant) {
         Verdict::Holds { complete, .. } => assert!(!complete),
         other => panic!("expected an incomplete Holds, got {other:?}"),
     }
@@ -61,8 +61,8 @@ fn an_unfired_token_does_not_perturb_the_search() {
     let with_token = Explorer::new(&dms, 2).with_config(config().with_cancel(CancelToken::new()));
     let without_token = Explorer::new(&dms, 2).with_config(config());
     match (
-        with_token.check_invariant(&invariant),
-        without_token.check_invariant(&invariant),
+        with_token.run(invariant.clone()),
+        without_token.run(invariant),
     ) {
         (
             Verdict::Holds {
@@ -94,7 +94,7 @@ fn a_pre_cancelled_search_does_no_work() {
     cancel.cancel();
     let explorer =
         Explorer::new(&dms, 2).with_config(ExplorerConfig::default().with_cancel(cancel));
-    match explorer.check_invariant(&invariant) {
+    match explorer.run(invariant) {
         Verdict::Holds { stats, .. } => assert!(
             stats.configs_explored <= 1,
             "a pre-cancelled search expanded {} configurations",

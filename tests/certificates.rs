@@ -29,7 +29,7 @@ fn emitting(depth: usize, max_configs: usize) -> ExplorerConfig {
 fn certified(dms: &Dms, b: usize, invariant: &Query, depth: usize) -> (bool, Certificate) {
     let verdict = Explorer::new(dms, b)
         .with_config(emitting(depth, 500_000))
-        .check_invariant(invariant);
+        .run(invariant.clone());
     let cert = verdict
         .certificate()
         .expect("the search must emit a certificate")
@@ -152,7 +152,7 @@ proptest! {
         let capped = rdms::core::transform::permits::cap_fresh(&dms, 1).unwrap();
         let verdict = Explorer::new(&capped, 2)
             .with_config(emitting(24, 200_000))
-            .check_invariant(&Query::True);
+            .run(Query::True);
         prop_assert!(verdict.holds());
         let cert = verdict.certificate().expect("saturating search emits");
         prop_assert!(cert.verify().is_ok(), "{:?}", cert.verify());

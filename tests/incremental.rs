@@ -113,7 +113,7 @@ proptest! {
                     max_configs: 500_000,
                     ..ExplorerConfig::default()
                 })
-                .check_invariant(&invariant);
+                .run(invariant);
             prop_assert!(
                 !from_scratch.holds(),
                 "the explorer missed a violation the session witnessed at depth {}",

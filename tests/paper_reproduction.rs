@@ -222,7 +222,7 @@ fn t2_reduction_pipeline_cross_validation() {
     ] {
         assert_eq!(
             hybrid3.check(&property).holds(),
-            explorer.check(&property).holds()
+            explorer.run(property).holds()
         );
     }
 }
@@ -256,7 +256,7 @@ fn introduction_student_property() {
         ..Default::default()
     });
     let property = enrollment::graduation_property();
-    let verdict = explorer.check(&property);
+    let verdict = explorer.run(property.clone());
     assert!(!verdict.holds(), "a dropout refutes the property");
 
     let (witness, _) = explorer.find_witness(&property);

@@ -9,7 +9,8 @@
 //! scratch oracle; the unit tests pin the individual reuse strategies.
 
 use proptest::prelude::*;
-use rdms::checker::{CheckRequest, Explorer, ExplorerConfig, Reuse, Workspace};
+use rdms::checker::{CutoffReason, Explorer, ExplorerConfig, Reuse, Verdict, Workspace};
+use rdms::core::dms::example_3_1;
 use rdms::core::{ActionBuilder, Dms, DmsBuilder};
 use rdms::db::parser::parse_query;
 use rdms::db::{Pattern, Query, RelName, Term, Var};
@@ -100,14 +101,15 @@ fn scratch_config() -> ExplorerConfig {
     }
 }
 
+fn is_complete(verdict: &Verdict) -> bool {
+    matches!(verdict, Verdict::Holds { complete: true, .. })
+}
+
 /// Check `invariant` on `dms` from scratch: the oracle the workspace must agree with.
 fn scratch(dms: &Dms, bound: usize, invariant: &Query) -> (bool, Option<usize>) {
     let explorer = Explorer::new(dms, bound).with_config(scratch_config());
-    let verdict = explorer.run(CheckRequest::invariant(invariant.clone()));
-    let complete_holds = matches!(
-        verdict,
-        rdms::checker::Verdict::Holds { complete: true, .. }
-    );
+    let verdict = explorer.run(invariant.clone());
+    let complete_holds = is_complete(&verdict);
     let count = complete_holds.then(|| {
         let counter = Explorer::new(dms, bound).with_config(scratch_config());
         let (count, saturated) = counter.reachable_state_count();
@@ -322,28 +324,37 @@ fn guard_edit_delta_reexpansion_matches_scratch() {
     }
 }
 
-/// `seed_checkpoint` interoperates with the checkpoint-resume machinery: an `Explorer`
-/// fed the workspace's explored set at a larger bound agrees with a scratch run there.
+/// A workspace search reports the statistics a scratch explorer run reports: the same
+/// cutoff reason and completeness under any configuration budget, and the per-search
+/// sharing and index counters.
 #[test]
-fn seed_checkpoint_feeds_a_scratch_explorer() {
-    // must hold at bound 1: only saturated explorations memoize an exportable set
-    let invariant = parse_query("true").unwrap();
-    let mut ws = Workspace::new(variant(0, false), 1, invariant.clone())
-        .with_depth(DEPTH)
-        .with_max_configs(MAX_CONFIGS);
-    assert!(ws.check().holds());
-
-    let checkpoint = ws
-        .seed_checkpoint(2)
-        .expect("a saturated bound-1 set exports as a bound-2 seed");
-    let dms = variant(0, false);
-    let explorer = Explorer::new(&dms, 2).with_config(scratch_config());
-    let seeded =
-        explorer.run(CheckRequest::invariant(invariant.clone()).from_checkpoint(checkpoint));
-
-    let (oracle_holds, _) = scratch(&dms, 2, &invariant);
-    assert_eq!(seeded.holds(), oracle_holds);
-
-    // a seed below the workspace's own bound is refused
-    assert!(ws.seed_checkpoint(0).is_none());
+fn workspace_search_statistics_agree_with_the_explorer() {
+    let depth = 4;
+    for (max_configs, cutoff) in [(3, Some(CutoffReason::Configs)), (MAX_CONFIGS, None)] {
+        let mut ws = Workspace::new(example_3_1(), 2, Query::True)
+            .with_depth(depth)
+            .with_max_configs(max_configs);
+        let verdict = ws.check();
+        assert_eq!(ws.last_report().reuse, Reuse::FullRun);
+        let dms = example_3_1();
+        let scratch = Explorer::new(&dms, 2)
+            .with_config(ExplorerConfig {
+                depth,
+                max_configs,
+                ..ExplorerConfig::default()
+            })
+            .run(Query::True);
+        let stats = verdict.stats();
+        assert_eq!(stats.cutoff, cutoff, "max_configs={max_configs}");
+        assert_eq!(scratch.stats().cutoff, cutoff, "max_configs={max_configs}");
+        assert_eq!(
+            is_complete(&verdict),
+            is_complete(&scratch),
+            "max_configs={max_configs}"
+        );
+        if cutoff.is_none() {
+            assert!(stats.relations_shared > 0, "{stats:?}");
+            assert!(stats.index_probes > 0, "{stats:?}");
+        }
+    }
 }

@@ -28,7 +28,7 @@ fn probe_complete_flag_on_explored_set_reuse() {
             depth,
             ..ExplorerConfig::default()
         })
-        .check_invariant(&inv_b);
+        .run(inv_b);
     let scratch_complete = matches!(scratch, Verdict::Holds { complete, .. } if complete);
     println!(
         "workspace: holds={} complete={} | scratch: holds={} complete={}",
