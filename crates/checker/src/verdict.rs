@@ -128,9 +128,17 @@ pub struct CheckStats {
     /// `depth_cutoff`/`budget_cutoff` semantics: a state was genuinely dropped.
     #[serde(default)]
     pub memory_cutoff: bool,
-    /// Peak estimated heap bytes retained by the search (seen-set keys plus frontier),
-    /// per the [`rdms_db::HeapSize`] estimation contract. `0` when no memory budget was
-    /// configured (accounting is only maintained when it can change the outcome).
+    /// Peak estimated heap bytes, per the [`rdms_db::HeapSize`] estimation contract. What
+    /// is counted depends on the engine:
+    /// - an [`Explorer`](crate::Explorer) search charges every successor it admits to the
+    ///   frontier and never releases a charge; canonical keys held by the interner are not
+    ///   counted (see [`crate::ExplorerConfig::memory_budget_bytes`]). `0` when no memory
+    ///   budget was configured (the meter only runs when it can change the outcome);
+    /// - an [`IncrementalChecker`](crate::IncrementalChecker) session reports its current
+    ///   [`memory_bytes`](crate::IncrementalChecker::memory_bytes): the run spine plus its
+    ///   interner's canonical keys;
+    /// - a [`Workspace`](crate::Workspace) check reports `0` (its memo is metered by
+    ///   [`Workspace::memory_bytes`](crate::Workspace::memory_bytes)).
     #[serde(default)]
     pub peak_memory_bytes: usize,
     /// Which resource bound fired first, when any did. Stable precedence when several

@@ -10,9 +10,10 @@
 //!   relabelling active-domain values by their recency rank; two configurations with the same
 //!   key have isomorphic futures, which is what the bounded explorer uses to deduplicate its
 //!   search space,
-//! * [`KeyInterner`] / [`intern_canonical_config`] — a process-wide interner mapping
-//!   canonical keys to dense `u64` ids, so that a concurrent seen-set can deduplicate
-//!   configurations with an integer probe instead of comparing whole instances.
+//! * [`KeyInterner`] / [`intern_canonical_config`] — an interner mapping canonical keys to
+//!   dense `u64` ids, so that the explorer's seen-set, a revision workspace's explored
+//!   fixpoint and an incremental session's state count deduplicate configurations with an
+//!   integer probe instead of comparing whole instances.
 
 use crate::config::BConfig;
 use crate::run::ExtendedRun;
@@ -118,8 +119,9 @@ pub fn runs_isomorphic(left: &ExtendedRun, right: &ExtendedRun) -> bool {
 /// Number of lock shards of a [`KeyInterner`]; a power of two so the shard index is a mask.
 const INTERNER_SHARDS: usize = 16;
 
-/// A process-wide interner mapping canonical configuration keys (instances produced by
-/// [`canonical_config_key`]) to dense `u64` ids.
+/// An interner mapping canonical configuration keys (instances produced by
+/// [`canonical_config_key`]) to dense `u64` ids. [`KeyInterner::global`] is the
+/// process-wide instance; [`KeyInterner::new`] makes a private one.
 ///
 /// Two configurations receive the same id iff their canonical keys are equal, i.e. iff they
 /// are isomorphic in the sense of Lemma E.1. The explorer keys its seen-set by these ids,
@@ -135,9 +137,10 @@ const INTERNER_SHARDS: usize = 16;
 /// that is what lets repeated searches (recency sweeps, benchmarks, the hybrid engine's
 /// re-checks) skip re-canonicalised comparisons. Memory is bounded by the number of
 /// *distinct* abstract states the process ever visits, not by the number of searches. The
-/// explorer always dedups through the global instance ([`intern_canonical_config`]);
-/// [`KeyInterner::new`] exists for tools and tests that need an isolated, droppable id
-/// space when using the interner directly.
+/// explorer dedups through the global instance unless its configuration supplies a private
+/// one (`ExplorerConfig::interner`); a revision `Workspace`, every `IncrementalChecker`
+/// session and the end-to-end benchmark's jobs each own a private interner, so their keys
+/// go when they are dropped.
 pub struct KeyInterner {
     // keys are `Arc`-wrapped so callers that need to hold on to the canonical instance
     // (certificate recording) can get a shared handle instead of cloning the instance;
@@ -161,8 +164,8 @@ impl fmt::Debug for KeyInterner {
 }
 
 impl KeyInterner {
-    /// A fresh, empty interner (the explorer uses the [`KeyInterner::global`] instance; a
-    /// private interner is only useful for tests and tools that need isolated id spaces).
+    /// A fresh, empty interner with its own id space, whose keys are freed when it is
+    /// dropped. Searches that are not handed one use [`KeyInterner::global`].
     pub fn new() -> KeyInterner {
         KeyInterner {
             shards: (0..INTERNER_SHARDS)

@@ -1,70 +1,81 @@
 //! Global string interner producing cheap, `Copy` symbols.
 //!
-//! Relation names and variable names are interned once and afterwards compared / hashed as
-//! `u32`s. The interner is global (process-wide) so that symbols created by different crates
-//! of the workspace are interchangeable.
+//! Relation, variable and action names are interned once, by [`Sym::new`], and afterwards
+//! handled through a `Copy` handle to their interned entry. Reading a symbol takes no lock:
+//! equality is identity, hashing writes the entry's `u32` id, and ordering compares the two
+//! texts after an identity fast path. Only [`Sym::new`] locks the interner. The interner is
+//! global (process-wide) so that symbols created by different crates of the workspace are
+//! interchangeable; an interned name lives for the rest of the process.
 
 use parking_lot::Mutex;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// An interned string. Two [`Sym`]s are equal iff the strings they were created from are
 /// equal. Ordering is lexicographic on the underlying strings (so that data structures keyed
 /// by symbols iterate deterministically and human-sensibly).
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Sym(u32);
+#[derive(Clone, Copy)]
+pub struct Sym(&'static Entry);
 
-struct Interner {
-    map: HashMap<&'static str, u32>,
-    strings: Vec<&'static str>,
+/// One interned name, leaked by [`Sym::new`] so that handles can read it without the lock.
+struct Entry {
+    text: Box<str>,
+    id: u32,
 }
 
-static INTERNER: Mutex<Option<Interner>> = Mutex::new(None);
+static INTERNER: Mutex<Option<HashMap<&'static str, &'static Entry>>> = Mutex::new(None);
 
 impl Sym {
     /// Intern `s`, returning its symbol. Idempotent.
     pub fn new(s: &str) -> Sym {
         let mut guard = INTERNER.lock();
-        let interner = guard.get_or_insert_with(|| Interner {
-            map: HashMap::new(),
-            strings: Vec::new(),
-        });
-        if let Some(&id) = interner.map.get(s) {
-            return Sym(id);
+        let map = guard.get_or_insert_with(HashMap::new);
+        if let Some(&entry) = map.get(s) {
+            return Sym(entry);
         }
-        // Interned strings live for the lifetime of the process.
-        let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        let id = interner.strings.len() as u32;
-        interner.strings.push(leaked);
-        interner.map.insert(leaked, id);
-        Sym(id)
+        let id = map.len() as u32;
+        let entry: &'static Entry = Box::leak(Box::new(Entry { text: s.into(), id }));
+        map.insert(&entry.text, entry);
+        Sym(entry)
     }
 
     /// The string this symbol was interned from.
     pub fn as_str(&self) -> &'static str {
-        let guard = INTERNER.lock();
-        guard
-            .as_ref()
-            .and_then(|i| i.strings.get(self.0 as usize).copied())
-            .expect("symbol created by Sym::new")
+        &self.0.text
     }
 
     /// Raw numeric id (stable within a process run only).
     pub fn id(&self) -> u32 {
-        self.0
+        self.0.id
+    }
+}
+
+impl PartialEq for Sym {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self.0, other.0)
+    }
+}
+
+impl Eq for Sym {}
+
+impl Hash for Sym {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.id.hash(state);
     }
 }
 
 impl PartialOrd for Sym {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Sym {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        if self.0 == other.0 {
-            std::cmp::Ordering::Equal
+    fn cmp(&self, other: &Self) -> Ordering {
+        if self == other {
+            Ordering::Equal
         } else {
             self.as_str().cmp(other.as_str())
         }
@@ -142,6 +153,82 @@ mod tests {
         let a = Sym::new("roundtrip");
         let json = serde_json_string(&a);
         assert_eq!(json, "\"roundtrip\"");
+    }
+
+    fn hash_of(sym: Sym) -> u64 {
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        sym.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    #[test]
+    fn reading_symbols_takes_no_lock() {
+        fn copy_send_sync<T: Copy + Send + Sync>() {}
+        copy_send_sync::<Sym>();
+        let a = Sym::new("lock_free_a");
+        let b = Sym::new("lock_free_b");
+        let guard = INTERNER.lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            let reads = (a == b, a.cmp(&b), hash_of(a), a.as_str(), b.as_str());
+            tx.send(reads).unwrap();
+        });
+        let reads = rx.recv_timeout(std::time::Duration::from_secs(5));
+        drop(guard);
+        reader.join().unwrap();
+        let (equal, order, hash, a_text, b_text) =
+            reads.expect("reading a symbol blocked on the interner lock");
+        assert!(!equal);
+        assert_eq!(order, Ordering::Less);
+        assert_eq!(hash, hash_of(a));
+        assert_eq!((a_text, b_text), ("lock_free_a", "lock_free_b"));
+    }
+
+    #[test]
+    fn concurrent_interning_keeps_the_symbol_contract() {
+        let names: Vec<String> = (0..300)
+            .map(|i| format!("contract_{}", i * 7919 % 1000))
+            .collect();
+        let start = std::sync::Barrier::new(4);
+        let per_thread: Vec<Vec<(Sym, &str)>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|t| {
+                    let (names, start) = (&names, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        // every thread interns every name, each from its own offset
+                        (0..names.len())
+                            .map(|i| names[(i + 75 * t) % names.len()].as_str())
+                            .map(|name| (Sym::new(name), name))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let all: Vec<(Sym, &str)> = per_thread.into_iter().flatten().collect();
+
+        let mut by_symbol: Vec<Sym> = all.iter().map(|&(sym, _)| sym).collect();
+        by_symbol.sort();
+        let mut by_text: Vec<&str> = all.iter().map(|&(_, text)| text).collect();
+        by_text.sort();
+        assert_eq!(
+            by_symbol.iter().map(Sym::as_str).collect::<Vec<_>>(),
+            by_text
+        );
+
+        for &(a, a_text) in &all {
+            assert_eq!(a.as_str(), a_text);
+            let again = Sym::new(a_text);
+            assert!(std::ptr::eq(again.0, a.0) && again.id() == a.id());
+            for &(b, b_text) in &all {
+                assert_eq!(a == b, a_text == b_text);
+                assert_eq!(a.cmp(&b), a_text.cmp(b_text));
+                if a == b {
+                    assert_eq!(hash_of(a), hash_of(b));
+                }
+            }
+        }
     }
 
     fn serde_json_string(sym: &Sym) -> String {

@@ -212,8 +212,10 @@ impl Session {
         self.journal.take()
     }
 
-    /// Check one wire transaction: resolve `action` by name, build the substitution from
-    /// `bindings`, validate it as a `b`-bounded transition and evaluate the invariant.
+    /// Check one wire transaction: resolve `action` by name, resolve every binding name
+    /// against the action's parameters and fresh variables (an unknown name is
+    /// `not-instantiating`), validate the substitution as a `b`-bounded transition and
+    /// evaluate the invariant. Client-sent names are compared, never interned.
     ///
     /// Never panics on hostile input — every failure mode is a [`CheckOutcome::Rejected`]
     /// with a stable code, and rejected transactions leave the session untouched.
@@ -231,18 +233,28 @@ impl Session {
                 };
             }
         }
-        let Some((index, _)) = self.checker.dms().action_by_name(action) else {
+        let Some((index, declared)) = self.checker.dms().action_by_name(action) else {
             return CheckOutcome::Rejected {
                 code: ErrorCode::UnknownAction,
                 message: format!("no action named `{action}`"),
             };
         };
-        let subst = Substitution::from_pairs(
-            bindings
-                .iter()
-                .map(|(name, &value)| (Var::new(name), DataValue(value))),
-        );
-        let step = Step::new(index, subst);
+        let mut pairs = Vec::with_capacity(bindings.len());
+        for (name, &value) in bindings {
+            let mut vars = declared.params().iter().chain(declared.fresh());
+            let Some(&var) = vars.find(|var| var.as_str() == name) else {
+                let error = CoreError::NotInstantiating {
+                    action: action.to_owned(),
+                    reason: format!("`{name}` is neither a parameter nor a fresh-input variable"),
+                };
+                return CheckOutcome::Rejected {
+                    code: ErrorCode::NotInstantiating,
+                    message: error.to_string(),
+                };
+            };
+            pairs.push((var, DataValue(value)));
+        }
+        let step = Step::new(index, Substitution::from_pairs(pairs));
         let verdict = match self.deadline {
             Some(budget) => self
                 .checker
@@ -490,6 +502,16 @@ mod tests {
             }
         ));
         let outcome = session.check("alpha", &BTreeMap::new());
+        assert!(matches!(
+            outcome,
+            CheckOutcome::Rejected {
+                code: ErrorCode::NotInstantiating,
+                ..
+            }
+        ));
+        let mut extra = alpha_bindings(1);
+        extra.insert("no_such_variable_zz".to_string(), 424_242);
+        let outcome = session.check("alpha", &extra);
         assert!(matches!(
             outcome,
             CheckOutcome::Rejected {
