@@ -18,7 +18,6 @@ OPTIONS:
       --max-sessions <N>          concurrent-connection cap [default: 64]
       --queue-depth <N>           per-session inbound queue bound [default: 32]
       --idle-timeout-ms <MS>      evict sessions idle this long [default: 300000]
-      --poll-interval-ms <MS>     deadline/shutdown poll tick [default: 25]
       --max-frame-len <BYTES>     frame payload cap [default: 16777216]
       --max-transactions <N>      per-session accepted-transaction cap [default: unlimited]
       --handler-delay-ms <MS>     artificial per-request delay (test/load knob) [default: 0]
@@ -61,9 +60,6 @@ fn main() {
             "--queue-depth" => config.queue_depth = parse(&value("--queue-depth")),
             "--idle-timeout-ms" => {
                 config.idle_timeout = Duration::from_millis(parse(&value("--idle-timeout-ms")));
-            }
-            "--poll-interval-ms" => {
-                config.poll_interval = Duration::from_millis(parse(&value("--poll-interval-ms")));
             }
             "--max-frame-len" => config.max_frame_len = parse(&value("--max-frame-len")),
             "--max-transactions" => {

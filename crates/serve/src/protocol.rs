@@ -311,7 +311,8 @@ pub fn write_message<W: Write, T: Serialize>(writer: &mut W, message: &T) -> io:
     write_frame(writer, json.as_bytes())
 }
 
-/// Write one frame: 4-byte big-endian length, then the payload, then flush.
+/// Write one frame: 4-byte big-endian length, then the payload, then flush. Both go out
+/// in one `write_all`, so a frame on a `TCP_NODELAY` socket leaves as one segment.
 pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len()).map_err(|_| {
         io::Error::new(
@@ -319,8 +320,10 @@ pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> io::Result<()> {
             "frame payload exceeds the u32 length prefix",
         )
     })?;
-    writer.write_all(&len.to_be_bytes())?;
-    writer.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -342,8 +345,8 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, String> {
 #[derive(Debug)]
 pub enum FrameError {
     /// The underlying read timed out (or was interrupted) with the frame boundary state
-    /// preserved — poll again. This is how a reader with a read-timeout periodically
-    /// regains control to check idle/shutdown deadlines without losing partial frames.
+    /// preserved — poll again. This is how a reader with a read timeout regains control
+    /// to check its deadlines without losing partial frames.
     Idle,
     /// The peer closed the stream in the middle of a frame.
     Truncated,
@@ -411,6 +414,11 @@ impl<R: Read> FrameReader<R> {
     /// The wrapped stream.
     pub fn get_ref(&self) -> &R {
         &self.inner
+    }
+
+    /// The wrapped stream, mutably. Reading from it directly desynchronises the decoder.
+    pub fn get_mut(&mut self) -> &mut R {
+        &mut self.inner
     }
 
     /// Drive the decoder: `Ok(Some(payload))` on a complete frame, `Ok(None)` on a clean
@@ -611,6 +619,42 @@ mod tests {
         assert_eq!(frames.len(), 2);
         assert_eq!(decode_response(&frames[0]).unwrap(), Response::Pong);
         assert_eq!(frames[1], b"{}");
+    }
+
+    /// A writer that counts `write` calls.
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_written_in_one_write() {
+        let mut writer = CountingWriter {
+            bytes: Vec::new(),
+            writes: 0,
+        };
+        let reply = Response::Ok {
+            state_id: 7,
+            new_state: true,
+            run_len: 3,
+        };
+        write_message(&mut writer, &reply).unwrap();
+        assert_eq!(writer.writes, 1, "length prefix and payload in one write");
+        let mut reader = FrameReader::new(Cursor::new(writer.bytes), 1024);
+        let frame = reader.poll_frame().unwrap().unwrap();
+        assert_eq!(decode_response(&frame).unwrap(), reply);
     }
 
     #[test]

@@ -4,19 +4,25 @@
 //! # Threading model
 //!
 //! One **accept thread** (the [`Server::run`] loop, backgrounded by [`Server::spawn`])
-//! owns the listener in non-blocking mode and polls it every
-//! [`ServerConfig::poll_interval`], so a shutdown request takes effect within one poll
-//! tick without needing to poke the socket. Each accepted connection gets two threads:
+//! blocks in `accept()`. A drain wakes it by connecting to the listener itself. Each
+//! accepted connection gets two threads:
 //!
-//! * a **reader** that decodes frames ([`FrameReader`]) under a read timeout of one poll
-//!   interval — the timeout tick is where it notices idle-session eviction, server
-//!   shutdown and session completion — and pushes each complete frame into a **bounded**
-//!   queue ([`std::sync::mpsc::sync_channel`] of depth [`ServerConfig::queue_depth`]);
-//!   when the queue is full the frame is answered immediately with [`Response::Busy`] and
-//!   dropped (explicit backpressure: the client resends, nothing blocks);
+//! * a **reader** that decodes frames ([`FrameReader`]) and pushes each complete frame
+//!   into a **bounded** queue ([`std::sync::mpsc::sync_channel`] of depth
+//!   [`ServerConfig::queue_depth`]); when the queue is full the frame is answered
+//!   immediately with [`Response::Busy`] and dropped (explicit backpressure: the client
+//!   resends, nothing blocks). Each read sleeps at most until the connection's real
+//!   deadline: `last frame + idle_timeout` between frames, `frame start + io_timeout`
+//!   mid-frame, re-checked after every read;
 //! * a **worker** that pops frames, runs them against the connection's [`Session`] and
 //!   writes the response. The write half of the socket is shared (mutex) between worker
 //!   and reader, since `Busy` and `Evicted` are written from the reader side.
+//!
+//! No thread wakes on a timer. A reader is woken early by shutting down the read half of
+//! its socket: by a drain, by the memory governor picking its session for eviction, and
+//! by its worker ending the conversation (`Close`, `Shutdown`, a poisoned session). Each
+//! wake sets a flag first, and a connection registers its socket before it first checks
+//! the flags, so no wake-up is lost. Each frame leaves in a single write.
 //!
 //! # Robustness invariants
 //!
@@ -38,8 +44,8 @@ use crate::protocol::{
 use crate::session::Session;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, Read};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -60,9 +66,6 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// A connection with no complete frame for this long is sent `Evicted` and closed.
     pub idle_timeout: Duration,
-    /// How often readers and the accept loop wake to check deadlines and shutdown. Upper
-    /// bounds the latency of eviction, drain and accept under load.
-    pub poll_interval: Duration,
     /// Maximum accepted frame payload length.
     pub max_frame_len: usize,
     /// Per-session cap on accepted transactions (`None` = unlimited); past it, `Check`
@@ -106,7 +109,6 @@ impl Default for ServerConfig {
             max_sessions: 64,
             queue_depth: 32,
             idle_timeout: Duration::from_secs(300),
-            poll_interval: Duration::from_millis(25),
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
             max_transactions: None,
             allow_remote_shutdown: false,
@@ -142,14 +144,13 @@ impl Default for ServerConfig {
 /// ```
 pub struct Server {
     listener: TcpListener,
-    config: ServerConfig,
-    shutdown: Arc<AtomicBool>,
+    shared: Arc<Shared>,
 }
 
 /// A handle to a server running on a background thread.
 pub struct ServerHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shared: Arc<Shared>,
     thread: JoinHandle<io::Result<()>>,
 }
 
@@ -162,7 +163,7 @@ impl ServerHandle {
     /// Begin a graceful drain and block until the server has fully stopped: in-flight
     /// frames are answered, every connection receives `Bye`, all threads are joined.
     pub fn shutdown(self) -> io::Result<()> {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shared.drain();
         match self.thread.join() {
             Ok(result) => result,
             Err(_) => Err(io::Error::other("server thread panicked")),
@@ -174,8 +175,9 @@ impl ServerHandle {
         self.thread.is_finished()
     }
 
-    /// Block until the server stops without requesting it to (pair with
-    /// `allow_remote_shutdown` or an external signal flipping the shared flag).
+    /// Block until the server stops without requesting it to. Only a permitted wire
+    /// `Shutdown` (with `allow_remote_shutdown`) stops it then; otherwise use
+    /// [`shutdown`](Self::shutdown).
     pub fn join(self) -> io::Result<()> {
         match self.thread.join() {
             Ok(result) => result,
@@ -187,7 +189,13 @@ impl ServerHandle {
 /// Everything a connection thread needs from the server.
 struct Shared {
     config: ServerConfig,
-    shutdown: Arc<AtomicBool>,
+    /// Raised once, by [`drain`](Self::drain).
+    shutdown: AtomicBool,
+    /// Where the drain connects to wake the blocking accept loop.
+    wake_addr: SocketAddr,
+    /// Every live connection, registered before its reader first checks the flags, so a
+    /// drain can wake each one.
+    conns: Mutex<Vec<Arc<Conn>>>,
     active: AtomicUsize,
     /// Session-id allocator. Ids are assigned on `Open` (journaling or not) and echoed
     /// in `Opened`; after a boot-time recovery the counter starts past every recovered
@@ -196,7 +204,7 @@ struct Shared {
     /// Sessions rebuilt from journals at boot, parked until a client `Resume`s them.
     recovered: Mutex<HashMap<u64, RecoveredSession>>,
     /// The memory governor's ledger: one seat per live (attached) session, holding its
-    /// latest [`Session::memory_bytes`] estimate and the eviction flag its reader polls.
+    /// latest [`Session::memory_bytes`] estimate and the connection it lives on.
     seats: Mutex<HashMap<u64, SessionSeat>>,
 }
 
@@ -204,22 +212,74 @@ struct Shared {
 struct SessionSeat {
     /// Latest [`Session::memory_bytes`] estimate, updated after every processed request.
     bytes: usize,
-    /// Set by the governor to evict this session; its connection's reader delivers
-    /// `Evicted` and closes within one poll tick. The journal survives, so an evicted
-    /// session is resumable after the pressure passes.
-    evict: Arc<AtomicBool>,
+    /// The session's connection. To evict the session the governor raises its `evict`
+    /// flag and wakes its reader, which delivers `Evicted` and closes at once. The journal
+    /// survives, so an evicted session is resumable after the pressure passes.
+    conn: Arc<Conn>,
+}
+
+/// One connection as the rest of the server sees it: the flags its reader checks after
+/// every read, and a clone of its socket for waking that read.
+struct Conn {
+    socket: TcpStream,
+    /// The worker ended the conversation (`Close`, `Shutdown`, poisoned, peer gone).
+    done: AtomicBool,
+    /// The memory governor picked this connection's session for eviction.
+    evict: AtomicBool,
+}
+
+impl Conn {
+    fn new(socket: TcpStream) -> Conn {
+        Conn {
+            socket,
+            done: AtomicBool::new(false),
+            evict: AtomicBool::new(false),
+        }
+    }
+
+    /// Wake the reader out of a blocking read by shutting down the read half: every read
+    /// from then on returns at once. Callers raise a flag first, which the woken reader
+    /// then finds.
+    fn wake(&self) {
+        let _ = self.socket.shutdown(Shutdown::Read);
+    }
 }
 
 impl Shared {
-    fn new(config: ServerConfig, shutdown: Arc<AtomicBool>) -> Shared {
+    fn new(config: ServerConfig, listen_addr: SocketAddr) -> Shared {
+        let mut wake_addr = listen_addr;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         Shared {
             config,
-            shutdown,
+            shutdown: AtomicBool::new(false),
+            wake_addr,
+            conns: Mutex::new(Vec::new()),
             active: AtomicUsize::new(0),
             next_session_id: AtomicU64::new(1),
             recovered: Mutex::new(HashMap::new()),
             seats: Mutex::new(HashMap::new()),
         }
+    }
+
+    fn draining(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Begin a graceful drain: raise the flag, then wake every registered reader and the
+    /// accept loop. A connection registers before it checks the flag, so it is either
+    /// woken here or sees the flag itself.
+    fn drain(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        for conn in self.conns.lock().iter() {
+            conn.wake();
+        }
+        // the accept loop finds the flag on its next accept; give it one
+        let _ = TcpStream::connect(self.wake_addr);
     }
 
     /// Whether the memory governor admits another session right now. With no budget this
@@ -239,8 +299,8 @@ impl Shared {
     }
 
     /// Record a live session in the governor's ledger.
-    fn register_seat(&self, id: u64, evict: Arc<AtomicBool>, bytes: usize) {
-        self.seats.lock().insert(id, SessionSeat { bytes, evict });
+    fn register_seat(&self, id: u64, conn: Arc<Conn>, bytes: usize) {
+        self.seats.lock().insert(id, SessionSeat { bytes, conn });
     }
 
     /// Update a session's byte estimate; when the process-wide total crosses the budget,
@@ -268,20 +328,17 @@ impl Shared {
         self.seats.lock().remove(&id);
     }
 
-    /// Flag the largest not-yet-flagged session (excluding `keep`) for eviction; returns
-    /// whether a victim was found.
-    fn shed_largest_seat(&self, keep: Option<u64>) -> bool {
+    /// Evict the largest not-yet-flagged session (excluding `keep`): flag it and wake its
+    /// reader.
+    fn shed_largest_seat(&self, keep: Option<u64>) {
         let seats = self.seats.lock();
         let victim = seats
             .iter()
-            .filter(|(id, seat)| Some(**id) != keep && !seat.evict.load(Ordering::Relaxed))
+            .filter(|(id, seat)| Some(**id) != keep && !seat.conn.evict.load(Ordering::SeqCst))
             .max_by_key(|(_, seat)| seat.bytes);
-        match victim {
-            Some((_, seat)) => {
-                seat.evict.store(true, Ordering::Relaxed);
-                true
-            }
-            None => false,
+        if let Some((_, seat)) = victim {
+            seat.conn.evict.store(true, Ordering::SeqCst);
+            seat.conn.wake();
         }
     }
 
@@ -318,22 +375,13 @@ impl Server {
     /// ephemeral port and read it back with [`local_addr`](Self::local_addr).
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        Ok(Server {
-            listener,
-            config,
-            shutdown: Arc::new(AtomicBool::new(false)),
-        })
+        let shared = Arc::new(Shared::new(config, listener.local_addr()?));
+        Ok(Server { listener, shared })
     }
 
     /// The bound address.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.listener.local_addr()
-    }
-
-    /// The flag that requests a drain when set; share it with a signal handler to stop
-    /// the blocking [`run`](Self::run) loop from outside.
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
     }
 
     /// Run the accept loop on a background thread and return a handle to it.
@@ -342,47 +390,48 @@ impl Server {
             .listener
             .local_addr()
             .expect("freshly bound listener has an address");
-        let shutdown = Arc::clone(&self.shutdown);
+        let shared = Arc::clone(&self.shared);
         let thread = std::thread::spawn(move || self.run());
         ServerHandle {
             addr,
-            shutdown,
+            shared,
             thread,
         }
     }
 
-    /// Run the accept loop on the calling thread until the shutdown flag is set (by
-    /// [`ServerHandle::shutdown`], a shared [`shutdown_flag`](Self::shutdown_flag), or a
-    /// permitted remote `Shutdown` request), then drain and join every connection.
+    /// Run the accept loop on the calling thread until a drain begins — by
+    /// [`ServerHandle::shutdown`] or a permitted wire `Shutdown` request — then stop
+    /// listening and join every connection.
     pub fn run(self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let shared = Arc::new(Shared::new(self.config, Arc::clone(&self.shutdown)));
+        let Server { listener, shared } = self;
         shared.recover_sessions()?;
         let mut connections: Vec<JoinHandle<()>> = Vec::new();
-        while !self.shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    connections.retain(|handle| !handle.is_finished());
-                    if shared.active.load(Ordering::SeqCst) >= shared.config.max_sessions {
-                        refuse(stream, ErrorCode::SessionLimit, "server is at capacity");
-                        continue;
-                    }
-                    shared.active.fetch_add(1, Ordering::SeqCst);
-                    let shared = Arc::clone(&shared);
-                    connections.push(std::thread::spawn(move || {
-                        // never let a connection failure take the process down; errors
-                        // here mean the peer vanished mid-handshake
-                        let _ = handle_connection(stream, &shared);
-                        shared.active.fetch_sub(1, Ordering::SeqCst);
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(shared.config.poll_interval);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+        loop {
+            let mut stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
+            };
+            if shared.draining() {
+                // the drain's own wake-up, or a client that raced it
+                let _ = write_message(&mut stream, &Response::Bye);
+                break;
             }
+            connections.retain(|handle| !handle.is_finished());
+            if shared.active.load(Ordering::SeqCst) >= shared.config.max_sessions {
+                refuse(stream, ErrorCode::SessionLimit, "server is at capacity");
+                continue;
+            }
+            shared.active.fetch_add(1, Ordering::SeqCst);
+            let shared = Arc::clone(&shared);
+            connections.push(std::thread::spawn(move || {
+                // never let a connection failure take the process down; errors
+                // here mean the peer vanished mid-handshake
+                let _ = handle_connection(stream, &shared);
+                shared.active.fetch_sub(1, Ordering::SeqCst);
+            }));
         }
+        drop(listener); // refuse new connections while the drain finishes
         for handle in connections {
             let _ = handle.join();
         }
@@ -395,102 +444,156 @@ fn refuse(mut stream: TcpStream, code: ErrorCode, message: &str) {
     let _ = write_message(&mut stream, &Response::rejected(code, message));
 }
 
+/// The reader's side of a connection socket. Each read sleeps at most until the
+/// connection's current deadline: `last frame + idle_timeout` at a frame boundary, and
+/// `frame start + io_timeout` mid-frame. Progress inside a frame does not move the
+/// io deadline, so a byte-at-a-time dribbler times out like a length-then-stall client.
+/// A read past the deadline fails with `TimedOut` without touching the socket.
+/// [`FrameReader`] never reads past the frame it is decoding, so the first byte read
+/// after [`frame_done`](Self::frame_done) is the next frame's first byte.
+struct DeadlineStream {
+    socket: TcpStream,
+    idle_timeout: Duration,
+    io_timeout: Option<Duration>,
+    /// When the current frame's first byte arrived; `None` at a frame boundary.
+    frame_started: Option<Instant>,
+    last_frame: Instant,
+}
+
+impl DeadlineStream {
+    fn deadline(&self) -> Option<Instant> {
+        match self.frame_started {
+            Some(started) => self.io_timeout.and_then(|t| started.checked_add(t)),
+            None => self.last_frame.checked_add(self.idle_timeout),
+        }
+    }
+
+    fn expired(&self) -> bool {
+        self.deadline()
+            .is_some_and(|deadline| Instant::now() >= deadline)
+    }
+
+    /// A frame completed: start the idle clock.
+    fn frame_done(&mut self) {
+        self.frame_started = None;
+        self.last_frame = Instant::now();
+    }
+}
+
+impl Read for DeadlineStream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let timeout = match self.deadline() {
+            // std rejects a zero timeout, so an expired deadline never reaches the socket
+            Some(deadline) => match deadline.checked_duration_since(Instant::now()) {
+                Some(left) if !left.is_zero() => Some(left),
+                _ => return Err(io::ErrorKind::TimedOut.into()),
+            },
+            None => None,
+        };
+        self.socket.set_read_timeout(timeout)?;
+        let n = self.socket.read(buf)?;
+        if n > 0 && self.frame_started.is_none() {
+            self.frame_started = Some(Instant::now());
+        }
+        Ok(n)
+    }
+}
+
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
-    stream.set_read_timeout(Some(shared.config.poll_interval))?;
     let _ = stream.set_nodelay(true);
     let writer_stream = stream.try_clone()?;
     writer_stream.set_write_timeout(shared.config.io_timeout)?;
     let writer = Arc::new(Mutex::new(writer_stream));
-    // `done` is the worker telling the reader the conversation is over (Close/Shutdown)
-    let done = Arc::new(AtomicBool::new(false));
-    // `evict` is the memory governor telling this connection to go (via its seat)
-    let evict = Arc::new(AtomicBool::new(false));
+    let conn = Arc::new(Conn::new(stream.try_clone()?));
+    // register before the first flag check below: a drain either wakes this connection
+    // or has raised its flag already
+    shared.conns.lock().push(Arc::clone(&conn));
 
     let (queue, inbox) = sync_channel::<Vec<u8>>(shared.config.queue_depth);
     let worker = {
         let writer = Arc::clone(&writer);
-        let done = Arc::clone(&done);
-        let evict = Arc::clone(&evict);
+        let conn = Arc::clone(&conn);
         let shared = Arc::clone(shared);
-        std::thread::spawn(move || worker_loop(inbox, writer, done, evict, shared))
+        std::thread::spawn(move || worker_loop(inbox, writer, conn, shared))
     };
 
-    let mut reader = FrameReader::new(stream, shared.config.max_frame_len);
-    let mut last_frame = Instant::now();
-    // when the current frame's first byte arrived; the io-timeout clock. Unlike
-    // `last_frame` it is NOT reset by progress within a frame, so a byte-at-a-time
-    // dribbler times out just like a length-then-stall client.
-    let mut frame_started: Option<Instant> = None;
-    loop {
-        if done.load(Ordering::SeqCst) || shared.shutdown.load(Ordering::SeqCst) {
-            break;
+    let mut reader = FrameReader::new(
+        DeadlineStream {
+            socket: stream,
+            idle_timeout: shared.config.idle_timeout,
+            io_timeout: shared.config.io_timeout,
+            frame_started: None,
+            last_frame: Instant::now(),
+        },
+        shared.config.max_frame_len,
+    );
+    let stopping = || {
+        conn.done.load(Ordering::SeqCst) || conn.evict.load(Ordering::SeqCst) || shared.draining()
+    };
+    // the notice the reader sends as it stops; the worker says `Bye` on a drain
+    let notice = loop {
+        if conn.done.load(Ordering::SeqCst) || shared.draining() {
+            break None;
         }
-        if evict.load(Ordering::SeqCst) {
+        if conn.evict.load(Ordering::SeqCst) {
             // pressure eviction: the governor picked this session to free memory; its
             // journal keeps it resumable
-            let _ = write_message(&mut *writer.lock(), &Response::Evicted);
-            break;
+            break Some(Response::Evicted);
         }
         match reader.poll_frame() {
             Ok(Some(payload)) => {
-                last_frame = Instant::now();
-                frame_started = None;
+                reader.get_mut().frame_done();
                 match queue.try_send(payload) {
                     Ok(()) => {}
                     Err(TrySendError::Full(_)) => {
                         // explicit backpressure: drop the frame, tell the client now
                         let _ = write_message(&mut *writer.lock(), &Response::Busy);
                     }
-                    Err(TrySendError::Disconnected(_)) => break,
+                    Err(TrySendError::Disconnected(_)) => break None,
                 }
             }
-            Ok(None) => break, // peer closed cleanly
-            Err(FrameError::Idle) => {
-                if reader.mid_frame() {
-                    let started = *frame_started.get_or_insert_with(Instant::now);
-                    if let Some(io_timeout) = shared.config.io_timeout {
-                        if started.elapsed() >= io_timeout {
-                            let _ = write_message(
-                                &mut *writer.lock(),
-                                &Response::rejected(
-                                    ErrorCode::Timeout,
-                                    format!("frame not completed within {io_timeout:?}"),
-                                ),
-                            );
-                            break; // mid-frame: the stream cannot be resynced
-                        }
-                    }
-                } else {
-                    frame_started = None;
-                    if last_frame.elapsed() >= shared.config.idle_timeout {
-                        let _ = write_message(&mut *writer.lock(), &Response::Evicted);
-                        break;
-                    }
-                }
-            }
-            Err(FrameError::Oversized { len, max }) => {
-                let _ = write_message(
-                    &mut *writer.lock(),
-                    &Response::rejected(
-                        ErrorCode::OversizedFrame,
-                        format!("frame of {len} bytes exceeds the {max}-byte limit"),
+            // interrupted before the deadline: read on
+            Err(FrameError::Idle) if !reader.get_ref().expired() => {}
+            // mid-frame: the stream cannot be resynced
+            Err(FrameError::Idle) if reader.mid_frame() => {
+                break Some(Response::rejected(
+                    ErrorCode::Timeout,
+                    format!(
+                        "frame not completed within {:?}",
+                        shared.config.io_timeout.unwrap_or_default()
                     ),
-                );
-                break; // length prefix is untrusted; the stream cannot be resynced
+                ));
             }
-            Err(FrameError::Truncated) | Err(FrameError::Io(_)) => break,
+            Err(FrameError::Idle) => break Some(Response::Evicted),
+            Err(FrameError::Oversized { len, max }) => {
+                // the length prefix is untrusted; the stream cannot be resynced
+                break Some(Response::rejected(
+                    ErrorCode::OversizedFrame,
+                    format!("frame of {len} bytes exceeds the {max}-byte limit"),
+                ));
+            }
+            // a wake reads as end of stream; the checks above say why
+            Ok(None) | Err(FrameError::Truncated) | Err(FrameError::Io(_)) if stopping() => {}
+            // the peer closed, or the socket failed
+            Ok(None) | Err(FrameError::Truncated) | Err(FrameError::Io(_)) => break None,
         }
+    };
+    if let Some(notice) = notice {
+        let _ = write_message(&mut *writer.lock(), &notice);
     }
     drop(queue); // lets the worker drain what's left and exit
     let _ = worker.join();
+    // FIN before the close: a close with unread input sends a reset, and a peer that
+    // already has the FIN reads a clean end of stream after the last reply, not an error
+    let _ = conn.socket.shutdown(Shutdown::Write);
+    shared.conns.lock().retain(|live| !Arc::ptr_eq(live, &conn));
     Ok(())
 }
 
 fn worker_loop(
     inbox: Receiver<Vec<u8>>,
     writer: Arc<Mutex<TcpStream>>,
-    done: Arc<AtomicBool>,
-    evict: Arc<AtomicBool>,
+    conn: Arc<Conn>,
     shared: Arc<Shared>,
 ) {
     let mut session: Option<Session> = None;
@@ -532,26 +635,25 @@ fn worker_loop(
             let id = *id;
             shared.register_seat(
                 id,
-                Arc::clone(&evict),
+                Arc::clone(&conn),
                 session.as_ref().map_or(0, Session::memory_bytes),
             );
         } else if let (Some(id), Some(live)) = (session_id, session.as_ref()) {
             shared.note_seat_bytes(id, live.memory_bytes());
         }
-        if write_message(&mut *writer.lock(), &response).is_err() {
-            break; // peer is gone; nothing further to answer
-        }
-        if terminal {
-            done.store(true, Ordering::SeqCst);
-            break;
+        if write_message(&mut *writer.lock(), &response).is_err() || terminal {
+            break; // the conversation is over, or the peer is gone
         }
     }
+    // the reader may be blocked in a read: end it (after a reader hang-up this is a no-op)
+    conn.done.store(true, Ordering::SeqCst);
+    conn.wake();
     if let Some(id) = session_id {
         shared.release_seat(id);
     }
     // drain notice: when the server is stopping (rather than this one conversation
     // ending), tell the peer before the socket closes
-    if shared.shutdown.load(Ordering::SeqCst) && !said_goodbye {
+    if shared.draining() && !said_goodbye {
         let _ = write_message(&mut *writer.lock(), &Response::Bye);
     }
 }
@@ -562,7 +664,7 @@ fn handshake_rejection(
     session: &Option<Session>,
     shared: &Shared,
 ) -> Option<Response> {
-    if shared.shutdown.load(Ordering::SeqCst) {
+    if shared.draining() {
         return Some(Response::rejected(
             ErrorCode::ShuttingDown,
             "server is draining",
@@ -745,7 +847,7 @@ fn process(request: Request, session: &mut Option<Session>, shared: &Shared) -> 
         }
         Request::Shutdown => {
             if config.allow_remote_shutdown {
-                shared.shutdown.store(true, Ordering::SeqCst);
+                shared.drain();
                 (Response::Bye, true)
             } else {
                 (
@@ -776,8 +878,16 @@ mod tests {
         }
     }
 
+    /// No listener on port 0: a drain's wake-up connect is refused, which it ignores.
     fn test_shared(config: ServerConfig) -> Shared {
-        Shared::new(config, Arc::new(AtomicBool::new(false)))
+        Shared::new(config, SocketAddr::from((Ipv4Addr::LOCALHOST, 0)))
+    }
+
+    /// A connection entry over a real loopback socket; the tests read only its flags.
+    fn test_conn() -> Arc<Conn> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let socket = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        Arc::new(Conn::new(socket))
     }
 
     #[test]
@@ -909,10 +1019,10 @@ mod tests {
             Response::Opened { session, .. } => session,
             other => panic!("expected Opened, got {other:?}"),
         };
-        let evict = Arc::new(AtomicBool::new(false));
+        let conn = test_conn();
         shared.register_seat(
             first_id,
-            Arc::clone(&evict),
+            Arc::clone(&conn),
             first.as_ref().map_or(0, Session::memory_bytes),
         );
 
@@ -923,7 +1033,7 @@ mod tests {
         assert!(!terminal, "shedding keeps the connection open for retries");
         assert!(second.is_none());
         // shedding under admission pressure also flags the largest seat for eviction
-        assert!(evict.load(Ordering::SeqCst));
+        assert!(conn.evict.load(Ordering::SeqCst));
 
         // releasing the seat restores admission
         shared.release_seat(first_id);
@@ -937,34 +1047,32 @@ mod tests {
             memory_budget_bytes: Some(100),
             ..ServerConfig::default()
         });
-        let small = Arc::new(AtomicBool::new(false));
-        let large = Arc::new(AtomicBool::new(false));
-        let grower = Arc::new(AtomicBool::new(false));
+        let (small, large, grower) = (test_conn(), test_conn(), test_conn());
         shared.register_seat(1, Arc::clone(&small), 10);
         shared.register_seat(2, Arc::clone(&large), 60);
         shared.register_seat(3, Arc::clone(&grower), 20);
 
         // still under budget: nobody is flagged
         shared.note_seat_bytes(3, 25);
-        assert!(!small.load(Ordering::SeqCst));
-        assert!(!large.load(Ordering::SeqCst));
+        assert!(!small.evict.load(Ordering::SeqCst));
+        assert!(!large.evict.load(Ordering::SeqCst));
 
         // the grower pushes the total past the budget; the largest *other* seat is
         // flagged (the grower itself is mid-request and cannot observe the flag yet)
         shared.note_seat_bytes(3, 40);
-        assert!(large.load(Ordering::SeqCst));
-        assert!(!small.load(Ordering::SeqCst));
-        assert!(!grower.load(Ordering::SeqCst));
+        assert!(large.evict.load(Ordering::SeqCst));
+        assert!(!small.evict.load(Ordering::SeqCst));
+        assert!(!grower.evict.load(Ordering::SeqCst));
     }
 
     #[test]
     fn seats_are_ignored_without_a_budget() {
         let shared = test_shared(ServerConfig::default());
-        let evict = Arc::new(AtomicBool::new(false));
-        shared.register_seat(1, Arc::clone(&evict), usize::MAX / 2);
+        let conn = test_conn();
+        shared.register_seat(1, Arc::clone(&conn), usize::MAX / 2);
         assert!(shared.admit_session());
         shared.note_seat_bytes(1, usize::MAX / 2);
-        assert!(!evict.load(Ordering::SeqCst));
+        assert!(!conn.evict.load(Ordering::SeqCst));
     }
 
     #[test]

@@ -63,7 +63,6 @@ fn spawn_server(config: ServerConfig) -> ServerHandle {
 
 fn fast_config() -> ServerConfig {
     ServerConfig {
-        poll_interval: Duration::from_millis(2),
         io_timeout: Some(Duration::from_secs(10)),
         ..ServerConfig::default()
     }

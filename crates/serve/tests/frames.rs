@@ -13,7 +13,6 @@ use rdms_serve::{Server, ServerConfig, ServerHandle};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::OnceLock;
-use std::time::Duration;
 
 /// Small frame cap so the oversized-frame path is cheap to hit.
 const MAX_FRAME_LEN: usize = 1 << 16;
@@ -24,7 +23,6 @@ fn server() -> &'static ServerHandle {
         Server::bind(
             "127.0.0.1:0",
             ServerConfig {
-                poll_interval: Duration::from_millis(2),
                 max_frame_len: MAX_FRAME_LEN,
                 ..ServerConfig::default()
             },

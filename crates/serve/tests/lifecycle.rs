@@ -6,7 +6,9 @@ use rdms_core::dms::example_3_1;
 use rdms_serve::protocol::{self, FrameError, Request, Response, PROTOCOL_VERSION};
 use rdms_serve::{Server, ServerConfig, ServerHandle};
 use std::collections::BTreeMap;
+use std::io::ErrorKind;
 use std::net::TcpStream;
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
 fn spawn_server(config: ServerConfig) -> ServerHandle {
@@ -73,7 +75,6 @@ fn alpha_check() -> Request {
 fn idle_sessions_are_evicted_with_notice() {
     let handle = spawn_server(ServerConfig {
         idle_timeout: Duration::from_millis(50),
-        poll_interval: Duration::from_millis(5),
         ..ServerConfig::default()
     });
     let (mut stream, mut replies) = connect(&handle);
@@ -101,7 +102,6 @@ fn overload_is_answered_with_busy_not_buffered_forever() {
         queue_depth: 1,
         // slow the worker enough that a burst must overflow the depth-1 queue
         handler_delay: Duration::from_millis(100),
-        poll_interval: Duration::from_millis(2),
         ..ServerConfig::default()
     });
     let (mut stream, mut replies) = connect(&handle);
@@ -129,7 +129,6 @@ fn overload_is_answered_with_busy_not_buffered_forever() {
 fn connections_past_the_cap_are_refused() {
     let handle = spawn_server(ServerConfig {
         max_sessions: 1,
-        poll_interval: Duration::from_millis(2),
         ..ServerConfig::default()
     });
     let (mut first, mut first_replies) = connect(&handle);
@@ -160,10 +159,7 @@ fn connections_past_the_cap_are_refused() {
 /// sees it as a *new* abstract state, because interners are session-scoped, never shared.
 #[test]
 fn concurrent_sessions_have_disjoint_interners() {
-    let handle = spawn_server(ServerConfig {
-        poll_interval: Duration::from_millis(2),
-        ..ServerConfig::default()
-    });
+    let handle = spawn_server(ServerConfig::default());
     let (mut a, mut a_replies) = connect(&handle);
     let (mut b, mut b_replies) = connect(&handle);
     for (stream, replies) in [(&mut a, &mut a_replies), (&mut b, &mut b_replies)] {
@@ -202,10 +198,7 @@ fn concurrent_sessions_have_disjoint_interners() {
 /// Re-opening on a live session is an error; closing and the `no-session` paths hold too.
 #[test]
 fn session_state_machine_is_enforced_over_the_wire() {
-    let handle = spawn_server(ServerConfig {
-        poll_interval: Duration::from_millis(2),
-        ..ServerConfig::default()
-    });
+    let handle = spawn_server(ServerConfig::default());
     let (mut stream, mut replies) = connect(&handle);
     // Check before Open: no-session
     match turn(&mut stream, &mut replies, &alpha_check()) {
@@ -231,4 +224,83 @@ fn session_state_machine_is_enforced_over_the_wire() {
     );
     assert_eq!(next_response(&mut replies), None);
     handle.shutdown().expect("drain");
+}
+
+/// A drain wakes every reader at once, including a connection accepted while the drain
+/// begins: a connection registers its socket before it checks the shutdown flag, so it
+/// is either woken by the drain or sees the flag itself. Idle eviction is 600 s away, so
+/// a lost wake-up shows as a `shutdown()` that does not return within 2 s.
+#[test]
+fn drain_wakes_idle_and_just_accepted_connections() {
+    for round in 0..20 {
+        let handle = spawn_server(ServerConfig {
+            idle_timeout: Duration::from_secs(600),
+            ..ServerConfig::default()
+        });
+        let addr = handle.addr();
+        let start = Arc::new(Barrier::new(5));
+        let clients: Vec<_> = (0..4)
+            .map(|client| {
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    // refused: the listener had already closed
+                    let Ok(mut stream) = TcpStream::connect(addr) else {
+                        return;
+                    };
+                    stream
+                        .set_read_timeout(Some(Duration::from_secs(2)))
+                        .expect("set read timeout");
+                    let mut replies = protocol::FrameReader::new(
+                        stream.try_clone().expect("clone"),
+                        protocol::DEFAULT_MAX_FRAME_LEN,
+                    );
+                    if client % 2 == 1 {
+                        // mid-Ping; the write fails if the drain already closed us
+                        let _ = protocol::write_message(&mut stream, &Request::Ping);
+                    }
+                    let (mut answered, mut probed) = (false, false);
+                    loop {
+                        match replies.poll_frame() {
+                            Ok(Some(frame)) => match protocol::decode_response(&frame) {
+                                Ok(Response::Bye) => return,
+                                // the Ping was queued before the drain; its Bye follows
+                                Ok(Response::Pong) if client % 2 == 1 && !answered => {
+                                    answered = true
+                                }
+                                other => panic!("round {round}, client {client}: {other:?}"),
+                            },
+                            Ok(None) => return,
+                            // never accepted: reset when the listener closed
+                            Err(FrameError::Io(e))
+                                if e.kind() == ErrorKind::ConnectionReset && !answered =>
+                            {
+                                return
+                            }
+                            // Silent for 2 s, by when `shutdown()` has returned: the server
+                            // leaked this connection or never accepted it. A handshake that
+                            // races the listener's close can leave the client half-open,
+                            // neither accepted nor reset; data sent on it draws the reset,
+                            // while a leaked server socket would take it silently.
+                            Err(FrameError::Idle) if !answered && !probed => {
+                                probed = true;
+                                let _ = protocol::write_message(&mut stream, &Request::Ping);
+                            }
+                            Err(e) => panic!("round {round}, client {client}: no Bye or EOF: {e}"),
+                        }
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        let (stopped, stop) = mpsc::channel();
+        std::thread::spawn(move || stopped.send(handle.shutdown()));
+        match stop.recv_timeout(Duration::from_secs(2)) {
+            Ok(drained) => drained.expect("drain"),
+            Err(_) => panic!("round {round}: shutdown did not return within 2 s"),
+        }
+        for client in clients {
+            client.join().expect("client thread");
+        }
+    }
 }

@@ -8,7 +8,7 @@ use rdms_serve::protocol::{self, FrameError, Request, Response, PROTOCOL_VERSION
 use rdms_serve::{Server, ServerConfig, ServerHandle};
 use std::collections::BTreeMap;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn spawn_server(config: ServerConfig) -> ServerHandle {
     Server::bind("127.0.0.1:0", config)
@@ -27,6 +27,31 @@ fn connect(handle: &ServerHandle) -> (TcpStream, protocol::FrameReader<TcpStream
 
 fn next_response(replies: &mut protocol::FrameReader<TcpStream>) -> Option<Response> {
     loop {
+        match replies.poll_frame() {
+            Ok(Some(frame)) => {
+                return Some(protocol::decode_response(&frame).expect("server frames decode"))
+            }
+            Ok(None) => return None,
+            Err(FrameError::Idle) => continue,
+            Err(e) => panic!("client-side transport error: {e}"),
+        }
+    }
+}
+
+/// The next response, which must arrive within `limit`: a missing wake-up fails here
+/// instead of blocking until some other deadline delivers it.
+fn response_within(
+    replies: &mut protocol::FrameReader<TcpStream>,
+    limit: Duration,
+) -> Option<Response> {
+    let deadline = Instant::now() + limit;
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        assert!(!left.is_zero(), "no response within {limit:?}");
+        replies
+            .get_ref()
+            .set_read_timeout(Some(left))
+            .expect("set read timeout");
         match replies.poll_frame() {
             Ok(Some(frame)) => {
                 return Some(protocol::decode_response(&frame).expect("server frames decode"))
@@ -68,23 +93,18 @@ fn alpha_check(base: u64) -> Request {
     }
 }
 
-fn fast_config() -> ServerConfig {
-    ServerConfig {
-        poll_interval: Duration::from_millis(2),
-        ..ServerConfig::default()
-    }
-}
-
 /// With the budget spent, a new `Open` is shed with the `overloaded` code — but the
 /// connection stays usable (unlike `session-limit`, which closes it), and the largest
-/// live session is evicted to make room for a retry.
+/// live session is evicted to make room for a retry. The eviction wakes the victim's
+/// reader at once: idle eviction is 600 s away, so it cannot be what delivers `Evicted`.
 #[test]
 fn an_overloaded_server_sheds_new_opens_and_evicts_the_largest_session() {
     let handle = spawn_server(ServerConfig {
         // one byte: the first session is admitted into an empty ledger, every later
         // Open finds the budget spent
         memory_budget_bytes: Some(1),
-        ..fast_config()
+        idle_timeout: Duration::from_secs(600),
+        ..ServerConfig::default()
     });
 
     // the first session is admitted and does real work
@@ -110,10 +130,15 @@ fn an_overloaded_server_sheds_new_opens_and_evicts_the_largest_session() {
         Response::Pong
     );
 
-    // shedding flagged the largest (only) session; its reader delivers the notice
-    assert_eq!(next_response(&mut first_replies), Some(Response::Evicted));
+    // shedding flagged the largest (only) session and woke its reader: the notice
+    // arrives promptly
+    let wait = Duration::from_secs(2);
     assert_eq!(
-        next_response(&mut first_replies),
+        response_within(&mut first_replies, wait),
+        Some(Response::Evicted)
+    );
+    assert_eq!(
+        response_within(&mut first_replies, wait),
         None,
         "evicted and closed"
     );
@@ -132,7 +157,7 @@ fn an_overloaded_server_sheds_new_opens_and_evicts_the_largest_session() {
 fn a_generous_budget_never_sheds() {
     let handle = spawn_server(ServerConfig {
         memory_budget_bytes: Some(64 * 1024 * 1024),
-        ..fast_config()
+        ..ServerConfig::default()
     });
     let (mut a, mut a_replies) = connect(&handle);
     let (mut b, mut b_replies) = connect(&handle);
@@ -158,7 +183,7 @@ fn a_drain_leaves_no_checkpoint_and_a_rebooted_server_resumes_the_session() {
     let config = || ServerConfig {
         journal_dir: Some(dir.clone()),
         journal_fsync_every: 1,
-        ..fast_config()
+        ..ServerConfig::default()
     };
 
     let handle = spawn_server(config());

@@ -1,7 +1,8 @@
 //! The mid-frame i/o timeout (`--io-timeout-ms`): slow-loris-style partial frames must be
 //! rejected with code `timeout` and closed, without disturbing concurrent healthy
 //! sessions. Two attack shapes are pinned — a client that sends the 4-byte length and
-//! stalls, and one that dribbles a frame byte by byte — plus the positive control that a
+//! stalls, and one that dribbles a frame byte by byte, which must be cut off at the
+//! frame's deadline even while it keeps sending — plus the positive control that a
 //! slow-but-finite frame still completes.
 
 use rdms_core::dms::example_3_1;
@@ -10,13 +11,12 @@ use rdms_serve::{Server, ServerConfig, ServerHandle};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn spawn_server(io_timeout: Duration) -> ServerHandle {
     Server::bind(
         "127.0.0.1:0",
         ServerConfig {
-            poll_interval: Duration::from_millis(2),
             // idle eviction must NOT be what saves us: only the io-timeout may fire
             idle_timeout: Duration::from_secs(600),
             io_timeout: Some(io_timeout),
@@ -106,6 +106,41 @@ fn byte_by_byte_dribbler_is_timed_out() {
         std::thread::sleep(Duration::from_millis(20));
     }
     assert_timed_out_and_closed(&mut replies);
+    handle.shutdown().expect("drain");
+}
+
+/// The io-timeout is a deadline per frame, not per read: a client that keeps every read
+/// short by sending one byte every 10 ms must still be cut off once the frame has been
+/// open for `io_timeout`, while it is still dribbling.
+#[test]
+fn fast_dribbler_is_timed_out_while_still_sending() {
+    let handle = spawn_server(Duration::from_millis(100));
+    let (mut stream, mut replies) = connect(&handle);
+    let started = Instant::now();
+    let dribbler = std::thread::spawn(move || {
+        // announce 256 bytes, then deliver them one at a time for 2 s
+        if stream.write_all(&256u32.to_be_bytes()).is_err() {
+            return;
+        }
+        while started.elapsed() < Duration::from_secs(2) {
+            // stop dribbling when the server has already hung up on us
+            if stream
+                .write_all(b"x")
+                .and_then(|()| stream.flush())
+                .is_err()
+            {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    });
+    assert_timed_out_and_closed(&mut replies);
+    let waited = started.elapsed();
+    assert!(
+        waited < Duration::from_secs(1),
+        "timeout rejection took {waited:?}; the dribbler was never cut off"
+    );
+    dribbler.join().expect("dribbler thread");
     handle.shutdown().expect("drain");
 }
 
