@@ -15,14 +15,13 @@
 //!   implements it and its tests pin the documented shapes.
 //! * [`session`] — a [`Session`]: one client's verification state, no transport. This is
 //!   the **embedding API** — use it directly for in-process online checking.
-//! * [`server`] — the TCP layer: accept loop, per-connection reader/worker threads,
-//!   bounded inbound queues with explicit `Busy` backpressure, idle eviction, panic
-//!   containment (a poisoned session never takes the server down), mid-frame i/o
-//!   timeouts, and graceful drain on shutdown. It is event-driven: the accept loop
-//!   blocks until a connection arrives (a drain wakes it with a connection of its own),
-//!   and a reader sleeps until its idle or mid-frame deadline unless a drain, a memory
-//!   eviction or the end of its conversation wakes it first. `docs/OPERATIONS.md` is
-//!   the operator guide.
+//! * [`server`] — the TCP layer: accept loop, one thread per connection, bounded
+//!   inbound queues with explicit `Busy` backpressure, idle eviction, panic containment
+//!   (a poisoned session never takes the server down), mid-frame i/o timeouts, and
+//!   graceful drain on shutdown. It is event-driven: the accept loop blocks until a
+//!   connection arrives (a drain wakes it with a connection of its own), and a
+//!   connection sleeps until its idle or mid-frame deadline unless a drain or a memory
+//!   eviction wakes it first. `docs/OPERATIONS.md` is the operator guide.
 //!
 //! Two robustness layers ride on top: [`journal`] gives sessions crash-safe append-only
 //! logs and boot-time recovery (clients re-attach with `Resume`), and [`faults`] is the

@@ -344,14 +344,14 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, String> {
 /// Why [`FrameReader::poll_frame`] returned without a frame.
 #[derive(Debug)]
 pub enum FrameError {
-    /// The underlying read timed out (or was interrupted) with the frame boundary state
-    /// preserved — poll again. This is how a reader with a read timeout regains control
-    /// to check its deadlines without losing partial frames.
+    /// The underlying read timed out, would block or was interrupted, with the frame
+    /// boundary state preserved — poll again. This is how a reader with a read timeout
+    /// regains control to check its deadlines without losing partial frames.
     Idle,
     /// The peer closed the stream in the middle of a frame.
     Truncated,
-    /// The announced payload length exceeds the reader's limit. The stream cannot be
-    /// resynchronised; close the connection after reporting.
+    /// The announced payload length exceeds the reader's limit, and every later poll says
+    /// so again without reading: the stream cannot be resynchronised, so close it.
     Oversized {
         /// The announced length.
         len: usize,
@@ -557,6 +557,12 @@ mod tests {
             }
             other => panic!("expected Oversized, got {other:?}"),
         }
+        // and again on every later poll, without reading past the length prefix
+        assert!(matches!(
+            reader.poll_frame(),
+            Err(FrameError::Oversized { .. })
+        ));
+        assert_eq!(reader.get_ref().position(), 4);
     }
 
     #[test]

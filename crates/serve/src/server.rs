@@ -1,40 +1,39 @@
-//! The TCP serving layer: accept loop, per-connection threads, backpressure, eviction and
-//! graceful drain.
+//! The TCP serving layer: accept loop, one thread per connection, backpressure, eviction
+//! and graceful drain.
 //!
 //! # Threading model
 //!
 //! One **accept thread** (the [`Server::run`] loop, backgrounded by [`Server::spawn`])
 //! blocks in `accept()`. A drain wakes it by connecting to the listener itself. Each
-//! accepted connection gets two threads:
+//! accepted connection gets **one thread**, which reads a frame ([`FrameReader`]), runs it
+//! against the connection's [`Session`] and writes the reply:
 //!
-//! * a **reader** that decodes frames ([`FrameReader`]) and pushes each complete frame
-//!   into a **bounded** queue ([`std::sync::mpsc::sync_channel`] of depth
-//!   [`ServerConfig::queue_depth`]); when the queue is full the frame is answered
-//!   immediately with [`Response::Busy`] and dropped (explicit backpressure: the client
-//!   resends, nothing blocks). Each read sleeps at most until the connection's real
-//!   deadline: `last frame + idle_timeout` between frames, `frame start + io_timeout`
-//!   mid-frame, re-checked after every read;
-//! * a **worker** that pops frames, runs them against the connection's [`Session`] and
-//!   writes the response. The write half of the socket is shared (mutex) between worker
-//!   and reader, since `Busy` and `Evicted` are written from the reader side.
+//! * with nothing queued or in flight, it blocks until the connection's real deadline:
+//!   `idle start + idle_timeout` at a frame boundary, `frame start + io_timeout` mid-frame;
+//! * with a frame in hand, it first takes, without blocking, the frames the socket already
+//!   holds: up to [`ServerConfig::queue_depth`] of them wait behind the frame in hand, and
+//!   each one past that is dropped and answered [`Response::Busy`] at once (explicit
+//!   backpressure: the client resends, nothing blocks).
 //!
-//! No thread wakes on a timer. A reader is woken early by shutting down the read half of
-//! its socket: by a drain, by the memory governor picking its session for eviction, and
-//! by its worker ending the conversation (`Close`, `Shutdown`, a poisoned session). Each
-//! wake sets a flag first, and a connection registers its socket before it first checks
-//! the flags, so no wake-up is lost. Each frame leaves in a single write.
+//! So replies to processed frames keep request order, and a `Busy` goes out as the frame
+//! it drops is read. A connection-ending notice (`Evicted`, the `timeout` and
+//! `oversized-frame` rejections, the drain's `Bye`) stops reading and follows the reply to
+//! every frame read before it. No thread wakes on a timer: a drain, or the memory governor
+//! picking a session for eviction, raises a flag and then shuts down the read half of the
+//! connection's socket. A connection registers its socket before it first checks the
+//! flags, so no wake-up is lost. Each frame leaves in a single write.
 //!
 //! # Robustness invariants
 //!
 //! * A malformed frame is answered with `Rejected {code: "malformed-frame"}` and the
 //!   connection continues; an oversized frame is answered and the connection closed
 //!   (resync is impossible); neither ever panics the process.
-//! * A connection sitting idle (no complete frame) past
+//! * A connection with nothing queued or running and no complete frame for
 //!   [`ServerConfig::idle_timeout`] receives [`Response::Evicted`] and is closed.
 //! * Shutdown — via [`ServerHandle::shutdown`] or a permitted wire `Shutdown` — is a
-//!   **drain**: readers stop accepting new frames, workers finish every frame already
-//!   queued, each open connection receives [`Response::Bye`], and `run` returns only
-//!   after every connection thread has been joined.
+//!   **drain**: each connection stops reading, answers the frames it has read, and
+//!   receives [`Response::Bye`]; `run` returns only after every connection thread has
+//!   been joined.
 
 use crate::journal::{self, Journal, RecoveredSession, DEFAULT_FSYNC_EVERY};
 use crate::protocol::{
@@ -43,13 +42,12 @@ use crate::protocol::{
 };
 use crate::session::Session;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -64,7 +62,8 @@ pub struct ServerConfig {
     /// Bound of each connection's inbound frame queue; a frame arriving on a full queue
     /// is answered with `Busy` and dropped.
     pub queue_depth: usize,
-    /// A connection with no complete frame for this long is sent `Evicted` and closed.
+    /// A connection with nothing queued or running and no complete frame for this long is
+    /// sent `Evicted` and closed.
     pub idle_timeout: Duration,
     /// Maximum accepted frame payload length.
     pub max_frame_len: usize,
@@ -193,10 +192,9 @@ struct Shared {
     shutdown: AtomicBool,
     /// Where the drain connects to wake the blocking accept loop.
     wake_addr: SocketAddr,
-    /// Every live connection, registered before its reader first checks the flags, so a
+    /// Every live connection, registered before its thread first checks the flags, so a
     /// drain can wake each one.
     conns: Mutex<Vec<Arc<Conn>>>,
-    active: AtomicUsize,
     /// Session-id allocator. Ids are assigned on `Open` (journaling or not) and echoed
     /// in `Opened`; after a boot-time recovery the counter starts past every recovered
     /// id, so ids never collide across a crash.
@@ -213,33 +211,23 @@ struct SessionSeat {
     /// Latest [`Session::memory_bytes`] estimate, updated after every processed request.
     bytes: usize,
     /// The session's connection. To evict the session the governor raises its `evict`
-    /// flag and wakes its reader, which delivers `Evicted` and closes at once. The journal
-    /// survives, so an evicted session is resumable after the pressure passes.
+    /// flag and wakes it; it answers the frames it has read, then delivers `Evicted` and
+    /// closes. The journal survives, so the session is resumable once the pressure passes.
     conn: Arc<Conn>,
 }
 
-/// One connection as the rest of the server sees it: the flags its reader checks after
-/// every read, and a clone of its socket for waking that read.
+/// One connection as the rest of the server sees it: the flag its thread checks before
+/// every read, and a clone of its socket for waking a blocked read.
 struct Conn {
     socket: TcpStream,
-    /// The worker ended the conversation (`Close`, `Shutdown`, poisoned, peer gone).
-    done: AtomicBool,
     /// The memory governor picked this connection's session for eviction.
     evict: AtomicBool,
 }
 
 impl Conn {
-    fn new(socket: TcpStream) -> Conn {
-        Conn {
-            socket,
-            done: AtomicBool::new(false),
-            evict: AtomicBool::new(false),
-        }
-    }
-
-    /// Wake the reader out of a blocking read by shutting down the read half: every read
-    /// from then on returns at once. Callers raise a flag first, which the woken reader
-    /// then finds.
+    /// Wake the connection's thread out of a blocking read by shutting down the read half:
+    /// every read from then on returns at once. Callers raise a flag first, which the
+    /// woken thread then finds.
     fn wake(&self) {
         let _ = self.socket.shutdown(Shutdown::Read);
     }
@@ -259,7 +247,6 @@ impl Shared {
             shutdown: AtomicBool::new(false),
             wake_addr,
             conns: Mutex::new(Vec::new()),
-            active: AtomicUsize::new(0),
             next_session_id: AtomicU64::new(1),
             recovered: Mutex::new(HashMap::new()),
             seats: Mutex::new(HashMap::new()),
@@ -270,8 +257,8 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Begin a graceful drain: raise the flag, then wake every registered reader and the
-    /// accept loop. A connection registers before it checks the flag, so it is either
+    /// Begin a graceful drain: raise the flag, then wake every registered connection and
+    /// the accept loop. A connection registers before it checks the flag, so it is either
     /// woken here or sees the flag itself.
     fn drain(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
@@ -329,7 +316,7 @@ impl Shared {
     }
 
     /// Evict the largest not-yet-flagged session (excluding `keep`): flag it and wake its
-    /// reader.
+    /// connection.
     fn shed_largest_seat(&self, keep: Option<u64>) {
         let seats = self.seats.lock();
         let victim = seats
@@ -417,18 +404,17 @@ impl Server {
                 let _ = write_message(&mut stream, &Response::Bye);
                 break;
             }
+            // the finished threads gone, `connections` counts the live connections
             connections.retain(|handle| !handle.is_finished());
-            if shared.active.load(Ordering::SeqCst) >= shared.config.max_sessions {
+            if connections.len() >= shared.config.max_sessions {
                 refuse(stream, ErrorCode::SessionLimit, "server is at capacity");
                 continue;
             }
-            shared.active.fetch_add(1, Ordering::SeqCst);
             let shared = Arc::clone(&shared);
             connections.push(std::thread::spawn(move || {
                 // never let a connection failure take the process down; errors
                 // here mean the peer vanished mid-handshake
                 let _ = handle_connection(stream, &shared);
-                shared.active.fetch_sub(1, Ordering::SeqCst);
             }));
         }
         drop(listener); // refuse new connections while the drain finishes
@@ -444,53 +430,67 @@ fn refuse(mut stream: TcpStream, code: ErrorCode, message: &str) {
     let _ = write_message(&mut stream, &Response::rejected(code, message));
 }
 
-/// The reader's side of a connection socket. Each read sleeps at most until the
-/// connection's current deadline: `last frame + idle_timeout` at a frame boundary, and
+/// The connection thread's side of its socket. A blocking read sleeps at most until the
+/// connection's current deadline: `idle start + idle_timeout` at a frame boundary, and
 /// `frame start + io_timeout` mid-frame. Progress inside a frame does not move the
 /// io deadline, so a byte-at-a-time dribbler times out like a length-then-stall client.
-/// A read past the deadline fails with `TimedOut` without touching the socket.
-/// [`FrameReader`] never reads past the frame it is decoding, so the first byte read
-/// after [`frame_done`](Self::frame_done) is the next frame's first byte.
+/// A blocking read past the deadline fails with `TimedOut` without touching the socket;
+/// a read-ahead is non-blocking and has no deadline. [`FrameReader`] never reads past
+/// the frame it is decoding, so the first byte read after a frame starts the next one.
 struct DeadlineStream {
     socket: TcpStream,
     idle_timeout: Duration,
     io_timeout: Option<Duration>,
     /// When the current frame's first byte arrived; `None` at a frame boundary.
     frame_started: Option<Instant>,
-    last_frame: Instant,
+    idle_since: Instant,
+    /// The socket is in non-blocking mode, for a read-ahead.
+    ahead: bool,
 }
 
 impl DeadlineStream {
     fn deadline(&self) -> Option<Instant> {
         match self.frame_started {
             Some(started) => self.io_timeout.and_then(|t| started.checked_add(t)),
-            None => self.last_frame.checked_add(self.idle_timeout),
+            None => self.idle_since.checked_add(self.idle_timeout),
         }
     }
 
     fn expired(&self) -> bool {
-        self.deadline()
-            .is_some_and(|deadline| Instant::now() >= deadline)
+        !self.ahead && self.deadline().is_some_and(|d| Instant::now() >= d)
     }
 
-    /// A frame completed: start the idle clock.
-    fn frame_done(&mut self) {
-        self.frame_started = None;
-        self.last_frame = Instant::now();
+    /// Back to a blocking read with nothing queued and nothing in flight: the idle clock
+    /// starts, and so does the io clock of a frame a read-ahead began, since the time spent
+    /// answering earlier frames is not the peer's.
+    fn wait_from_now(&mut self) {
+        let now = Instant::now();
+        self.idle_since = now;
+        self.frame_started = self.frame_started.map(|_| now);
+    }
+
+    /// `O_NONBLOCK` belongs to the socket, so it governs writes through every clone too:
+    /// leave a read-ahead before writing, or a reply larger than the send buffer fails.
+    fn set_ahead(&mut self, ahead: bool) -> io::Result<()> {
+        self.socket.set_nonblocking(ahead)?;
+        self.ahead = ahead;
+        Ok(())
     }
 }
 
 impl Read for DeadlineStream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let timeout = match self.deadline() {
-            // std rejects a zero timeout, so an expired deadline never reaches the socket
-            Some(deadline) => match deadline.checked_duration_since(Instant::now()) {
-                Some(left) if !left.is_zero() => Some(left),
-                _ => return Err(io::ErrorKind::TimedOut.into()),
-            },
-            None => None,
-        };
-        self.socket.set_read_timeout(timeout)?;
+        if !self.ahead {
+            let timeout = match self.deadline() {
+                // std rejects a zero timeout, so an expired deadline never reaches the socket
+                Some(deadline) => match deadline.checked_duration_since(Instant::now()) {
+                    Some(left) if !left.is_zero() => Some(left),
+                    _ => return Err(io::ErrorKind::TimedOut.into()),
+                },
+                None => None,
+            };
+            self.socket.set_read_timeout(timeout)?;
+        }
         let n = self.socket.read(buf)?;
         if n > 0 && self.frame_started.is_none() {
             self.frame_started = Some(Instant::now());
@@ -499,108 +499,110 @@ impl Read for DeadlineStream {
     }
 }
 
+/// One poll of a connection's socket: a frame, `None` while no complete frame is there,
+/// or `Err` once reading must stop, with the notice that ends the connection if there is
+/// one. A stop repeats on the next poll and consumes no input: a flag stays raised,
+/// [`FrameReader`] keeps an oversized length prefix, and a closed socket stays closed.
+fn poll(
+    reader: &mut FrameReader<DeadlineStream>,
+    conn: &Conn,
+    shared: &Shared,
+) -> Result<Option<Vec<u8>>, Option<Response>> {
+    // `Evicted` when the governor picked this session to free memory: its journal keeps
+    // it resumable
+    let flagged = || match (shared.draining(), conn.evict.load(Ordering::SeqCst)) {
+        (true, _) => Some(Response::Bye),
+        (false, evict) => evict.then_some(Response::Evicted),
+    };
+    if let Some(notice) = flagged() {
+        return Err(Some(notice));
+    }
+    match reader.poll_frame() {
+        Ok(Some(payload)) => {
+            reader.get_mut().frame_started = None;
+            Ok(Some(payload))
+        }
+        // nothing more to read ahead, or interrupted before the deadline
+        Err(FrameError::Idle) if !reader.get_ref().expired() => Ok(None),
+        // mid-frame: the stream cannot be resynced
+        Err(FrameError::Idle) if reader.mid_frame() => Err(Some(Response::rejected(
+            ErrorCode::Timeout,
+            format!(
+                "frame not completed within {:?}",
+                shared.config.io_timeout.unwrap_or_default()
+            ),
+        ))),
+        Err(FrameError::Idle) => Err(Some(Response::Evicted)),
+        // the length prefix is untrusted; the stream cannot be resynced
+        Err(FrameError::Oversized { len, max }) => Err(Some(Response::rejected(
+            ErrorCode::OversizedFrame,
+            format!("frame of {len} bytes exceeds the {max}-byte limit"),
+        ))),
+        // a wake reads as end of stream, and the flags say why; without one, the peer
+        // closed or the socket failed
+        Ok(None) | Err(FrameError::Truncated) | Err(FrameError::Io(_)) => Err(flagged()),
+    }
+}
+
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
     let _ = stream.set_nodelay(true);
-    let writer_stream = stream.try_clone()?;
-    writer_stream.set_write_timeout(shared.config.io_timeout)?;
-    let writer = Arc::new(Mutex::new(writer_stream));
-    let conn = Arc::new(Conn::new(stream.try_clone()?));
+    stream.set_write_timeout(shared.config.io_timeout)?;
+    let conn = Arc::new(Conn {
+        socket: stream.try_clone()?,
+        evict: AtomicBool::new(false),
+    });
     // register before the first flag check below: a drain either wakes this connection
     // or has raised its flag already
     shared.conns.lock().push(Arc::clone(&conn));
-
-    let (queue, inbox) = sync_channel::<Vec<u8>>(shared.config.queue_depth);
-    let worker = {
-        let writer = Arc::clone(&writer);
-        let conn = Arc::clone(&conn);
-        let shared = Arc::clone(shared);
-        std::thread::spawn(move || worker_loop(inbox, writer, conn, shared))
-    };
-
     let mut reader = FrameReader::new(
         DeadlineStream {
             socket: stream,
             idle_timeout: shared.config.idle_timeout,
             io_timeout: shared.config.io_timeout,
             frame_started: None,
-            last_frame: Instant::now(),
+            idle_since: Instant::now(),
+            ahead: false,
         },
         shared.config.max_frame_len,
     );
-    let stopping = || {
-        conn.done.load(Ordering::SeqCst) || conn.evict.load(Ordering::SeqCst) || shared.draining()
-    };
-    // the notice the reader sends as it stops; the worker says `Bye` on a drain
-    let notice = loop {
-        if conn.done.load(Ordering::SeqCst) || shared.draining() {
-            break None;
-        }
-        if conn.evict.load(Ordering::SeqCst) {
-            // pressure eviction: the governor picked this session to free memory; its
-            // journal keeps it resumable
-            break Some(Response::Evicted);
-        }
-        match reader.poll_frame() {
-            Ok(Some(payload)) => {
-                reader.get_mut().frame_done();
-                match queue.try_send(payload) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(_)) => {
-                        // explicit backpressure: drop the frame, tell the client now
-                        let _ = write_message(&mut *writer.lock(), &Response::Busy);
-                    }
-                    Err(TrySendError::Disconnected(_)) => break None,
-                }
-            }
-            // interrupted before the deadline: read on
-            Err(FrameError::Idle) if !reader.get_ref().expired() => {}
-            // mid-frame: the stream cannot be resynced
-            Err(FrameError::Idle) if reader.mid_frame() => {
-                break Some(Response::rejected(
-                    ErrorCode::Timeout,
-                    format!(
-                        "frame not completed within {:?}",
-                        shared.config.io_timeout.unwrap_or_default()
-                    ),
-                ));
-            }
-            Err(FrameError::Idle) => break Some(Response::Evicted),
-            Err(FrameError::Oversized { len, max }) => {
-                // the length prefix is untrusted; the stream cannot be resynced
-                break Some(Response::rejected(
-                    ErrorCode::OversizedFrame,
-                    format!("frame of {len} bytes exceeds the {max}-byte limit"),
-                ));
-            }
-            // a wake reads as end of stream; the checks above say why
-            Ok(None) | Err(FrameError::Truncated) | Err(FrameError::Io(_)) if stopping() => {}
-            // the peer closed, or the socket failed
-            Ok(None) | Err(FrameError::Truncated) | Err(FrameError::Io(_)) => break None,
-        }
-    };
-    if let Some(notice) = notice {
-        let _ = write_message(&mut *writer.lock(), &notice);
-    }
-    drop(queue); // lets the worker drain what's left and exit
-    let _ = worker.join();
-    // FIN before the close: a close with unread input sends a reset, and a peer that
-    // already has the FIN reads a clean end of stream after the last reply, not an error
-    let _ = conn.socket.shutdown(Shutdown::Write);
-    shared.conns.lock().retain(|live| !Arc::ptr_eq(live, &conn));
-    Ok(())
-}
-
-fn worker_loop(
-    inbox: Receiver<Vec<u8>>,
-    writer: Arc<Mutex<TcpStream>>,
-    conn: Arc<Conn>,
-    shared: Arc<Shared>,
-) {
+    let mut queue = VecDeque::new();
     let mut session: Option<Session> = None;
     let mut session_id: Option<u64> = None;
-    let mut said_goodbye = false;
-    // recv() until the reader hangs up; after that everything queued has been answered
-    while let Ok(payload) = inbox.recv() {
+    let notice = 'conn: loop {
+        let payload = match queue.pop_front() {
+            Some(payload) => payload,
+            None => {
+                reader.get_mut().wait_from_now();
+                loop {
+                    match poll(&mut reader, &conn, shared) {
+                        Ok(Some(payload)) => break payload,
+                        Ok(None) => {} // interrupted before the deadline: read on
+                        Err(notice) => break 'conn notice,
+                    }
+                }
+            }
+        };
+        // with the frame in hand, take what the socket already holds: keep up to
+        // `queue_depth` behind it, and drop the rest with a `Busy` each (explicit
+        // backpressure: the client resends). A stop ends the read-ahead; the blocking
+        // read after the last queued reply meets it again.
+        if reader.get_mut().set_ahead(true).is_err() {
+            break None;
+        }
+        let mut busy = 0;
+        while let Ok(Some(next)) = poll(&mut reader, &conn, shared) {
+            if queue.len() < shared.config.queue_depth {
+                queue.push_back(next);
+            } else {
+                busy += 1;
+            }
+        }
+        let wire = reader.get_mut();
+        if wire.set_ahead(false).is_err()
+            || (0..busy).any(|_| write_message(&mut wire.socket, &Response::Busy).is_err())
+        {
+            break None; // the peer is gone, or the socket is stuck non-blocking
+        }
         if !shared.config.handler_delay.is_zero() {
             std::thread::sleep(shared.config.handler_delay);
         }
@@ -613,7 +615,7 @@ fn worker_loop(
                 Response::rejected(ErrorCode::MalformedFrame, message),
                 false,
             ),
-            Ok(request) => process(request, &mut session, &shared),
+            Ok(request) => process(request, &mut session, shared),
         }));
         let (response, terminal) = handled.unwrap_or_else(|_| {
             session = None; // the half-mutated session must never serve again
@@ -625,9 +627,6 @@ fn worker_loop(
                 true,
             )
         });
-        if matches!(response, Response::Bye) {
-            said_goodbye = true;
-        }
         // governor bookkeeping: a fresh `Opened` takes a seat; every processed request
         // refreshes the session's byte estimate (and may flag a victim for eviction)
         if let Response::Opened { session: id, .. } = &response {
@@ -641,21 +640,21 @@ fn worker_loop(
         } else if let (Some(id), Some(live)) = (session_id, session.as_ref()) {
             shared.note_seat_bytes(id, live.memory_bytes());
         }
-        if write_message(&mut *writer.lock(), &response).is_err() || terminal {
-            break; // the conversation is over, or the peer is gone
+        if write_message(&mut reader.get_mut().socket, &response).is_err() || terminal {
+            break None; // the conversation is over, or the peer is gone
         }
+    };
+    if let Some(notice) = notice {
+        let _ = write_message(&mut reader.get_mut().socket, &notice);
     }
-    // the reader may be blocked in a read: end it (after a reader hang-up this is a no-op)
-    conn.done.store(true, Ordering::SeqCst);
-    conn.wake();
     if let Some(id) = session_id {
         shared.release_seat(id);
     }
-    // drain notice: when the server is stopping (rather than this one conversation
-    // ending), tell the peer before the socket closes
-    if shared.draining() && !said_goodbye {
-        let _ = write_message(&mut *writer.lock(), &Response::Bye);
-    }
+    // FIN before the close: a close with unread input sends a reset, and a peer that
+    // already has the FIN reads a clean end of stream after the last reply, not an error
+    let _ = conn.socket.shutdown(Shutdown::Write);
+    shared.conns.lock().retain(|live| !Arc::ptr_eq(live, &conn));
+    Ok(())
 }
 
 /// The `Open`/`Resume` preconditions shared by both handshakes; `None` means proceed.
@@ -887,7 +886,10 @@ mod tests {
     fn test_conn() -> Arc<Conn> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let socket = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        Arc::new(Conn::new(socket))
+        Arc::new(Conn {
+            socket,
+            evict: AtomicBool::new(false),
+        })
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Session-lifecycle behaviour of the server: idle eviction, `Busy` backpressure,
-//! capacity refusal, and the independence of concurrent sessions — each one a documented
-//! guarantee of `docs/PROTOCOL.md` / `docs/OPERATIONS.md`, pinned here over real sockets.
+//! capacity refusal, the order of replies and connection-ending notices, and the
+//! independence of concurrent sessions — each one a documented guarantee of
+//! `docs/PROTOCOL.md` / `docs/OPERATIONS.md`, pinned here over real sockets.
 
 use rdms_core::dms::example_3_1;
 use rdms_serve::protocol::{self, FrameError, Request, Response, PROTOCOL_VERSION};
 use rdms_serve::{Server, ServerConfig, ServerHandle};
 use std::collections::BTreeMap;
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
@@ -120,6 +121,99 @@ fn overload_is_answered_with_busy_not_buffered_forever() {
     assert!(pongs >= 1, "the queue still drains under load");
     assert!(busys >= 1, "overflow is reported, not silently buffered");
     assert_eq!(pongs + busys, BLAST);
+    handle.shutdown().expect("drain");
+}
+
+/// A request still running when the idle deadline would pass defers idle eviction: the
+/// reply comes first, and `Evicted` only after a whole idle period with nothing in flight.
+#[test]
+fn a_request_in_flight_defers_idle_eviction() {
+    let handle = spawn_server(ServerConfig {
+        idle_timeout: Duration::from_millis(200),
+        handler_delay: Duration::from_millis(600),
+        ..ServerConfig::default()
+    });
+    let (mut stream, mut replies) = connect(&handle);
+    protocol::write_message(&mut stream, &Request::Ping).expect("request written");
+    assert_eq!(next_response(&mut replies), Some(Response::Pong));
+    assert_eq!(next_response(&mut replies), Some(Response::Evicted));
+    assert_eq!(next_response(&mut replies), None, "nothing follows Evicted");
+    handle.shutdown().expect("drain");
+}
+
+/// A connection-ending notice is the last frame: frames read before an oversized length
+/// prefix are answered in order, and the `oversized-frame` rejection follows them.
+#[test]
+fn a_connection_ending_notice_follows_every_earlier_reply() {
+    let handle = spawn_server(ServerConfig {
+        handler_delay: Duration::from_millis(200),
+        max_frame_len: 1024,
+        ..ServerConfig::default()
+    });
+    let (mut stream, mut replies) = connect(&handle);
+    protocol::write_message(&mut stream, &Request::Ping).expect("first ping");
+    protocol::write_message(&mut stream, &Request::Ping).expect("second ping");
+    std::thread::sleep(Duration::from_millis(50));
+    stream
+        .write_all(&(1u32 << 20).to_be_bytes())
+        .expect("length prefix written");
+    assert_eq!(next_response(&mut replies), Some(Response::Pong));
+    assert_eq!(next_response(&mut replies), Some(Response::Pong));
+    match next_response(&mut replies) {
+        Some(Response::Rejected { code, .. }) => assert_eq!(code, "oversized-frame"),
+        other => panic!("expected an oversized-frame rejection, got {other:?}"),
+    }
+    assert_eq!(
+        next_response(&mut replies),
+        None,
+        "nothing follows the rejection"
+    );
+    handle.shutdown().expect("drain");
+}
+
+/// Frames that arrive while a request is held by `handler_delay` still get their `Busy`
+/// replies: each frame is answered exactly once, and at most `queue_depth` of them wait
+/// behind the one being answered.
+#[test]
+fn frames_arriving_while_a_request_is_held_are_answered_busy() {
+    const QUEUE_DEPTH: usize = 1;
+    const BURST: usize = 6;
+    let handle = spawn_server(ServerConfig {
+        queue_depth: QUEUE_DEPTH,
+        handler_delay: Duration::from_millis(200),
+        ..ServerConfig::default()
+    });
+    let (mut stream, mut replies) = connect(&handle);
+    // the first Ping finds the connection idle, so it is always run
+    protocol::write_message(&mut stream, &Request::Ping).expect("held ping");
+    std::thread::sleep(Duration::from_millis(50));
+    for _ in 0..BURST {
+        protocol::write_message(&mut stream, &Request::Ping).expect("burst write");
+    }
+    let (mut pongs, mut busys) = (0, 0);
+    for _ in 0..=BURST {
+        match next_response(&mut replies).expect("one reply per frame") {
+            Response::Pong => pongs += 1,
+            Response::Busy => busys += 1,
+            other => panic!("unexpected reply while a request is held: {other:?}"),
+        }
+    }
+    assert_eq!(pongs + busys, BURST + 1);
+    assert!(
+        pongs >= 1,
+        "the held Ping found the connection idle and is run"
+    );
+    assert!(busys >= 1, "frames arriving meanwhile overflow the queue");
+    assert!(
+        pongs - 1 <= QUEUE_DEPTH + 1,
+        "{} of the burst were run; the queue holds {QUEUE_DEPTH} behind the frame in hand",
+        pongs - 1
+    );
+    // the connection is still served normally
+    assert_eq!(
+        turn(&mut stream, &mut replies, &Request::Ping),
+        Response::Pong
+    );
     handle.shutdown().expect("drain");
 }
 
