@@ -30,8 +30,9 @@
 //! `elapsed`) on every run.
 //!
 //! * **Interned canonical states** — deduplicating searches probe a seen-set keyed by `u64`
-//!   ids from [`rdms_core::iso::KeyInterner`], so two isomorphic configurations are
-//!   recognised with an integer probe.
+//!   ids from a [`rdms_core::iso::KeyInterner`], so two isomorphic configurations are
+//!   recognised with an integer probe. The interner is the search's own, freed when it
+//!   returns, unless [`ExplorerConfig::interner`] lends one.
 //! * **The min-depth fixpoint** — the seen-set records the *shallowest* depth at which a
 //!   state was reached and re-expands a state found again strictly shallower, so the
 //!   explored state set is the depth-bounded reachability fixpoint, independent of
@@ -43,7 +44,7 @@
 
 use crate::request::CheckTarget;
 use crate::verdict::{CheckStats, CutoffReason, Verdict};
-use rdms_core::iso::{canonical_config_key, intern_canonical_config_in};
+use rdms_core::iso::canonical_config_key;
 use rdms_core::{
     commit, BConfig, CancelToken, Dms, EdgeMap, ExtendedRun, KeyInterner, RecencySemantics,
     StateRecord, Step,
@@ -63,13 +64,11 @@ pub struct ExplorerConfig {
     pub depth: usize,
     /// Maximum number of configurations generated before giving up.
     pub max_configs: usize,
-    /// The canonical-key interner this search deduplicates through. `None` (the default)
-    /// uses [`KeyInterner::global`], which retains every key ever interned for the lifetime
-    /// of the process — the right trade for repeated searches over the same state space.
-    /// Embedders checking **many unrelated DMSs** can supply a private interner instead and
-    /// drop it afterwards, bounding interner memory by the interner's lifetime. Searches
-    /// over the same system may share one handle (ids are stable per interner); ids from
-    /// different interners are unrelated.
+    /// A canonical-key interner lent to this search. `None` (the default): the search
+    /// builds its own and frees it, with every key it interned, when it returns. A lent
+    /// interner keeps its keys after the search, so later searches over the same system
+    /// through the same handle reuse their ids — a revision
+    /// [`Workspace`](crate::revision::Workspace) lends its own this way.
     pub interner: Option<Arc<KeyInterner>>,
     /// Record the evidence needed for certificate-carrying verdicts (default `false` —
     /// recording off is zero-cost, the search paths are untouched).
@@ -95,10 +94,9 @@ pub struct ExplorerConfig {
     /// admitted, and reports the result with `complete: false` and
     /// [`CheckStats::memory_cutoff`] set — never a falsely exhaustive verdict, never an
     /// abort. The meter is monotone over one search (charges are never released), so the
-    /// cutoff point is deterministic. Canonical keys retained by the interner are visible
-    /// process-wide through
-    /// [`KeyInterner::heap_bytes`](rdms_core::KeyInterner::heap_bytes) and are *not*
-    /// double-counted here.
+    /// cutoff point is deterministic. Canonical keys retained by the interner are *not*
+    /// counted here; a lent interner reports them through
+    /// [`KeyInterner::heap_bytes`](rdms_core::KeyInterner::heap_bytes).
     pub memory_budget_bytes: Option<usize>,
 }
 
@@ -116,13 +114,6 @@ impl Default for ExplorerConfig {
 }
 
 impl ExplorerConfig {
-    /// This configuration deduplicating through the given private interner instead of the
-    /// process-wide one (see [`ExplorerConfig::interner`]).
-    pub fn with_interner(mut self, interner: Arc<KeyInterner>) -> ExplorerConfig {
-        self.interner = Some(interner);
-        self
-    }
-
     /// This configuration with certificate recording switched on or off (see
     /// [`ExplorerConfig::emit_certificate`]).
     pub fn with_emit_certificate(mut self, emit: bool) -> ExplorerConfig {
@@ -458,15 +449,6 @@ impl<'a> SearchDriver<'a> {
         }
     }
 
-    /// The interner this search deduplicates through: the configured private one, else the
-    /// process-wide instance.
-    fn interner(&self) -> &KeyInterner {
-        self.config
-            .interner
-            .as_deref()
-            .unwrap_or_else(|| KeyInterner::global())
-    }
-
     /// Run the search from `root`, returning the first node (in depth-first order) on
     /// which `is_hit` fires.
     pub fn search<N, F>(&self, root: N, mut is_hit: F) -> SearchOutcome<N>
@@ -493,7 +475,14 @@ impl<'a> SearchDriver<'a> {
         // depth-bounded reachability fixpoint, independent of exploration order — the
         // property `Workspace` bound seeding relies on.
         let mut seen: HashMap<u64, usize> = HashMap::new();
-        let interner = self.interner();
+        let own;
+        let interner = match &self.config.interner {
+            Some(lent) => lent,
+            None => {
+                own = KeyInterner::new();
+                &own
+            }
+        };
         let mut recording: Option<RawEdges> =
             (self.dedup && self.config.emit_certificate).then(HashMap::new);
 
@@ -502,20 +491,12 @@ impl<'a> SearchDriver<'a> {
             let _scope = record_into(&counters);
             let mut root_seed = None;
             if self.dedup {
-                if recording.is_some() {
-                    // the root's canonical key seeds both the seen-set and its
-                    // certificate record, so recording costs no extra canonicalisation
-                    // here either
-                    let key = canonical_config_key(root.tip(), &self.constants);
-                    let (id, handle) = interner.intern_handle(key);
-                    root_seed = Some(RecordSeed::new(id, handle));
-                    seen.insert(id, 0);
-                } else {
-                    seen.insert(
-                        intern_canonical_config_in(interner, root.tip(), &self.constants),
-                        0,
-                    );
-                }
+                // the root's canonical key seeds both the seen-set and, when recording,
+                // its certificate record
+                let key = canonical_config_key(root.tip(), &self.constants);
+                let (id, handle) = interner.intern_handle(key);
+                seen.insert(id, 0);
+                root_seed = recording.is_some().then(|| RecordSeed::new(id, handle));
             }
             let mut stack: Vec<(N, Option<RecordSeed>)> = vec![(root, root_seed)];
             let mut peak = 1usize;
@@ -573,25 +554,19 @@ impl<'a> SearchDriver<'a> {
                     stats.configs_explored += 1;
                     let mut child_seed = None;
                     if self.dedup {
+                        // one canonicalisation serves the dedup probe and, when recording,
+                        // the successor record (its id) and the admitted child's own seed;
+                        // the handle is an Arc bump on the interner's stored key
+                        let key = canonical_config_key(&next, &self.constants);
+                        let (id, handle) = interner.intern_handle(key);
                         if let Some((_, succs)) = record.as_mut() {
-                            // one canonicalisation serves the successor record (its id),
-                            // the dedup probe and (if admitted) the child's own seed;
-                            // the handle is an Arc bump on the interner's stored key
-                            let key = canonical_config_key(&next, &self.constants);
-                            let (id, handle) = interner.intern_handle(key);
                             succs.push(id);
-                            if !record_min_depth(&mut seen, id, child_depth) {
-                                stats.configs_deduplicated += 1;
-                                continue;
-                            }
-                            child_seed = Some(RecordSeed::new(id, handle));
-                        } else {
-                            let id = intern_canonical_config_in(interner, &next, &self.constants);
-                            if !record_min_depth(&mut seen, id, child_depth) {
-                                stats.configs_deduplicated += 1;
-                                continue;
-                            }
                         }
+                        if !record_min_depth(&mut seen, id, child_depth) {
+                            stats.configs_deduplicated += 1;
+                            continue;
+                        }
+                        child_seed = recording.is_some().then(|| RecordSeed::new(id, handle));
                     }
                     stack.push((node.child(step, next), child_seed));
                     peak = peak.max(stack.len());
@@ -1019,35 +994,72 @@ mod tests {
     }
 
     #[test]
-    fn private_interners_bound_memory_and_agree_with_the_global_one() {
+    fn lent_interners_keep_their_keys_and_agree_with_search_owned_ones() {
         use rdms_core::KeyInterner;
-        use std::sync::Arc;
 
         let dms = example_3_1();
         let interner = Arc::new(KeyInterner::new());
-        let private = Explorer::new(&dms, 2)
-            .with_config(config(3, 10_000).with_interner(Arc::clone(&interner)));
-        let global = Explorer::new(&dms, 2).with_config(config(3, 10_000));
+        let lent = Explorer::new(&dms, 2).with_config(ExplorerConfig {
+            interner: Some(Arc::clone(&interner)),
+            ..config(3, 10_000)
+        });
+        let owned = Explorer::new(&dms, 2).with_config(config(3, 10_000));
 
         // identical verdicts and state counts through either interner
-        let (count_private, sat_private) = private.reachable_state_count();
-        let (count_global, sat_global) = global.reachable_state_count();
-        assert_eq!(count_private, count_global);
-        assert_eq!(sat_private, sat_global);
+        let (count_lent, sat_lent) = lent.reachable_state_count();
+        let (count_owned, sat_owned) = owned.reachable_state_count();
+        assert_eq!(count_lent, count_owned);
+        assert_eq!(sat_lent, sat_owned);
         assert_eq!(
-            private.run(Query::prop(r("p"))).holds(),
-            global.run(Query::prop(r("p"))).holds()
+            lent.run(Query::prop(r("p"))).holds(),
+            owned.run(Query::prop(r("p"))).holds()
         );
 
-        // the private interner holds exactly this system's distinct canonical keys (the
-        // memory an embedder reclaims by dropping the handle), not the process-wide table
-        assert_eq!(interner.len(), count_private);
+        // the lent interner outlives the search and holds exactly this system's distinct
+        // canonical keys
+        assert_eq!(interner.len(), count_lent);
 
         // a second search over the same system through the same handle re-uses the ids
         // instead of growing the table
-        let (again, _) = private.reachable_state_count();
-        assert_eq!(again, count_private);
-        assert_eq!(interner.len(), count_private);
+        let (again, _) = lent.reachable_state_count();
+        assert_eq!(again, count_lent);
+        assert_eq!(interner.len(), count_lent);
+    }
+
+    #[test]
+    fn certificates_do_not_depend_on_interner_ids() {
+        use rdms_core::KeyInterner;
+        use rdms_workloads::inventory;
+
+        let invariant = inventory::reserved_items_are_off_the_shelf();
+        let certificate = |dms: &Dms, b: usize, interner: Option<Arc<KeyInterner>>| {
+            let verdict = Explorer::new(dms, b)
+                .with_config(ExplorerConfig {
+                    interner,
+                    ..config(32, 500_000).with_emit_certificate(true)
+                })
+                .run(invariant.clone());
+            assert!(verdict.holds());
+            verdict.certificate().expect("a Safe certificate").clone()
+        };
+
+        // a lent interner that already holds another system's keys, so the ids this
+        // search draws do not start at 0
+        let interner = Arc::new(KeyInterner::new());
+        certificate(&inventory::finite_dms(1, 2), 2, Some(Arc::clone(&interner)));
+        let held = interner.len();
+        assert!(held > 0);
+
+        let dms = inventory::finite_dms(2, 3);
+        let owned = certificate(&dms, 3, None);
+        let lent = certificate(&dms, 3, Some(Arc::clone(&interner)));
+        assert_eq!(owned.to_json(), lent.to_json());
+        let rdms_core::cert::CertVerdict::Safe { states, .. } = &owned.verdict else {
+            panic!("expected a Safe certificate");
+        };
+        assert_eq!(states.len(), 434);
+        // the two systems share no canonical key: the lent interner grew by all 434
+        assert_eq!(interner.len(), held + 434);
     }
 
     /// A DMS whose `b`-bounded canonical state space is finite ({start} → {R(x)} → {}), so

@@ -2,28 +2,28 @@
 //! (Appendix E / Lemma E.1 of the paper).
 //!
 //! Two extended runs with the same abstraction are *equivalent modulo permutations of the
-//! data domain*: there is a bijection `λ` between their global active domains that is an
-//! isomorphism between corresponding instances. This module provides
+//! data domain*: there is a bijection `λ` between the values occurring anywhere in either
+//! run (their active domains over all instants) that is an isomorphism between
+//! corresponding instances. This module provides
 //!
 //! * [`runs_isomorphic`] — check Lemma E.1's conclusion directly on two runs,
 //! * [`canonical_config_key`] — a canonical form of a `b`-bounded configuration obtained by
 //!   relabelling active-domain values by their recency rank; two configurations with the same
 //!   key have isomorphic futures, which is what the bounded explorer uses to deduplicate its
 //!   search space,
-//! * [`KeyInterner`] / [`intern_canonical_config`] — an interner mapping canonical keys to
-//!   dense `u64` ids, so that the explorer's seen-set, a revision workspace's explored
-//!   fixpoint and an incremental session's state count deduplicate configurations with an
-//!   integer probe instead of comparing whole instances.
+//! * [`KeyInterner`] — an interner mapping canonical keys to dense `u64` ids, so that the
+//!   explorer's seen-set, a revision workspace's explored fixpoint and an incremental
+//!   session's state count deduplicate configurations with an integer probe instead of
+//!   comparing whole instances. Each search, workspace or session owns one; nothing is
+//!   interned process-wide.
 
 use crate::config::BConfig;
 use crate::run::ExtendedRun;
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 use rdms_db::{DataValue, Instance};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A canonical form of a configuration: the instance with every non-constant active-domain
 /// value replaced by its recency rank (`0` = most recent), leaving declared constants fixed.
@@ -116,42 +116,49 @@ pub fn runs_isomorphic(left: &ExtendedRun, right: &ExtendedRun) -> bool {
     true
 }
 
-/// Number of lock shards of a [`KeyInterner`]; a power of two so the shard index is a mask.
-const INTERNER_SHARDS: usize = 16;
-
 /// An interner mapping canonical configuration keys (instances produced by
-/// [`canonical_config_key`]) to dense `u64` ids. [`KeyInterner::global`] is the
-/// process-wide instance; [`KeyInterner::new`] makes a private one.
+/// [`canonical_config_key`]) to dense `u64` ids: the `n`-th distinct key gets id `n - 1`.
 ///
 /// Two configurations receive the same id iff their canonical keys are equal, i.e. iff they
 /// are isomorphic in the sense of Lemma E.1. The explorer keys its seen-set by these ids,
-/// turning deduplication into an integer-set probe; repeated searches
-/// over the same state space (recency sweeps, benchmarks) additionally reuse earlier
-/// internings instead of re-comparing instances.
+/// turning deduplication into an integer-set probe. Ids from different interners are
+/// unrelated — never mix them in one seen-set.
 ///
-/// The interner is sharded (16 reader-writer locks) so concurrent searches and sessions
-/// interning distinct keys rarely contend. Ids are unique and stable for the lifetime of the
-/// process but **not** contiguous per search — treat them as opaque.
+/// **Memory**: an interner retains every key it interned until it is dropped. A search
+/// builds its own and frees it when it returns, unless its `ExplorerConfig::interner` lends
+/// it one; a revision `Workspace` lends its interner to the searches it runs, and every
+/// `IncrementalChecker` session owns one, so their keys go when they are dropped.
 ///
-/// **Memory**: the global instance retains every canonical key ever interned, deliberately —
-/// that is what lets repeated searches (recency sweeps, benchmarks, the hybrid engine's
-/// re-checks) skip re-canonicalised comparisons. Memory is bounded by the number of
-/// *distinct* abstract states the process ever visits, not by the number of searches. The
-/// explorer dedups through the global instance unless its configuration supplies a private
-/// one (`ExplorerConfig::interner`); a revision `Workspace`, every `IncrementalChecker`
-/// session and the end-to-end benchmark's jobs each own a private interner, so their keys
-/// go when they are dropped.
+/// The methods take `&self` so that clones of a workspace or a session can share one
+/// interner behind an `Arc`; one mutex guards the table.
+#[derive(Default)]
 pub struct KeyInterner {
+    table: Mutex<Table>,
+}
+
+#[derive(Default)]
+struct Table {
     // keys are `Arc`-wrapped so callers that need to hold on to the canonical instance
     // (certificate recording) can get a shared handle instead of cloning the instance;
     // `Arc<Instance>` hashes and compares through the instance, and borrows as
     // `&Instance` for lookups
-    shards: Vec<RwLock<HashMap<Arc<Instance>, u64>>>,
-    next: AtomicU64,
-    /// Estimated heap bytes of every key retained by the shards (see
-    /// [`KeyInterner::heap_bytes`]), maintained atomically on the two fresh-insert paths
-    /// so concurrent searches read live interner memory without touching the shard locks.
-    bytes: AtomicUsize,
+    ids: HashMap<Arc<Instance>, u64>,
+    /// Estimated heap bytes of every key in `ids` (see [`KeyInterner::heap_bytes`]).
+    bytes: usize,
+}
+
+impl Table {
+    /// Store `key`, which is not interned yet, under the next id and charge its bytes: the
+    /// `Arc` allocation plus the instance's heap, plus the map's per-entry overhead.
+    fn insert(&mut self, key: Instance) -> (u64, Arc<Instance>) {
+        use rdms_db::heap::{HeapSize, HASH_ENTRY_OVERHEAD};
+        let id = self.ids.len() as u64;
+        let stored = Arc::new(key);
+        self.bytes +=
+            stored.heap_size() + std::mem::size_of::<(Arc<Instance>, u64)>() + HASH_ENTRY_OVERHEAD;
+        self.ids.insert(Arc::clone(&stored), id);
+        (id, stored)
+    }
 }
 
 impl fmt::Debug for KeyInterner {
@@ -165,52 +172,20 @@ impl fmt::Debug for KeyInterner {
 
 impl KeyInterner {
     /// A fresh, empty interner with its own id space, whose keys are freed when it is
-    /// dropped. Searches that are not handed one use [`KeyInterner::global`].
+    /// dropped.
     pub fn new() -> KeyInterner {
-        KeyInterner {
-            shards: (0..INTERNER_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-            next: AtomicU64::new(0),
-            bytes: AtomicUsize::new(0),
-        }
-    }
-
-    /// The process-wide interner shared by every search.
-    pub fn global() -> &'static KeyInterner {
-        static GLOBAL: OnceLock<KeyInterner> = OnceLock::new();
-        GLOBAL.get_or_init(KeyInterner::new)
-    }
-
-    fn shard_of(&self, key: &Instance) -> usize {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        (hasher.finish() as usize) & (INTERNER_SHARDS - 1)
-    }
-
-    /// Intern `key`, returning its id. Idempotent: equal keys always map to the same id.
-    pub fn intern(&self, key: Instance) -> u64 {
-        self.intern_new(key).0
+        KeyInterner::default()
     }
 
     /// Intern `key`, returning its id and whether the key was **new** to this interner
     /// (`true` on first interning, `false` on a dedup hit). Long-lived sessions use this to
-    /// count their distinct abstract states as they go: one integer probe per transition,
-    /// instead of an `O(shards)` [`KeyInterner::len`] scan before and after.
+    /// count their distinct abstract states as they go.
     pub fn intern_new(&self, key: Instance) -> (u64, bool) {
-        let shard = &self.shards[self.shard_of(&key)];
-        if let Some(&id) = shard.read().get(&key) {
+        let mut table = self.table.lock();
+        if let Some(&id) = table.ids.get(&key) {
             return (id, false);
         }
-        let mut map = shard.write();
-        if let Some(&id) = map.get(&key) {
-            return (id, false);
-        }
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        let stored = Arc::new(key);
-        self.charge(&stored);
-        map.insert(stored, id);
-        (id, true)
+        (table.insert(key).0, true)
     }
 
     /// Intern `key`, returning its id *and* a shared handle to the stored canonical
@@ -218,78 +193,28 @@ impl KeyInterner {
     /// must retain the canonical instance (the explorer's certificate recording) pay one
     /// reference-count bump instead of cloning the instance.
     pub fn intern_handle(&self, key: Instance) -> (u64, Arc<Instance>) {
-        let shard = &self.shards[self.shard_of(&key)];
-        if let Some((stored, &id)) = shard.read().get_key_value(&key) {
+        let mut table = self.table.lock();
+        if let Some((stored, &id)) = table.ids.get_key_value(&key) {
             return (id, Arc::clone(stored));
         }
-        let mut map = shard.write();
-        if let Some((stored, &id)) = map.get_key_value(&key) {
-            return (id, Arc::clone(stored));
-        }
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        let stored = Arc::new(key);
-        self.charge(&stored);
-        map.insert(Arc::clone(&stored), id);
-        (id, stored)
+        table.insert(key)
     }
 
-    /// Account a freshly interned key: the `Arc` allocation plus the instance's heap,
-    /// plus the shard map's per-entry overhead.
-    fn charge(&self, stored: &Arc<Instance>) {
-        use rdms_db::heap::{HeapSize, HASH_ENTRY_OVERHEAD};
-        let cost =
-            stored.heap_size() + std::mem::size_of::<(Arc<Instance>, u64)>() + HASH_ENTRY_OVERHEAD;
-        self.bytes.fetch_add(cost, Ordering::Relaxed);
-    }
-
-    /// Estimated heap bytes retained by this interner's keys (for the global interner:
-    /// process-wide canonical-key memory). Maintained atomically on every fresh
-    /// interning, so reading it never takes a shard lock.
+    /// Estimated heap bytes retained by this interner's keys, charged once per distinct
+    /// key.
     pub fn heap_bytes(&self) -> usize {
-        self.bytes.load(Ordering::Relaxed)
-    }
-
-    /// The id of `key`, if it has been interned.
-    pub fn get(&self, key: &Instance) -> Option<u64> {
-        self.shards[self.shard_of(key)].read().get(key).copied()
+        self.table.lock().bytes
     }
 
     /// Number of distinct keys interned so far.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.table.lock().ids.len()
     }
 
     /// Whether no key has been interned yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-impl Default for KeyInterner {
-    fn default() -> Self {
-        KeyInterner::new()
-    }
-}
-
-/// Canonicalise `config` (relabelling by recency rank, as [`canonical_config_key`]) and
-/// intern the key in the [`KeyInterner::global`] interner, returning its dense id.
-///
-/// This is the fast path the explorer's deduplication uses: two configurations get the same
-/// id iff they admit the same `b`-bounded futures up to isomorphism.
-pub fn intern_canonical_config(config: &BConfig, constants: &BTreeSet<DataValue>) -> u64 {
-    intern_canonical_config_in(KeyInterner::global(), config, constants)
-}
-
-/// [`intern_canonical_config`] against a caller-supplied interner. Embedders that check
-/// many unrelated DMSs can hand each search (or group of searches) its own
-/// [`KeyInterner`], bounding interner memory by the interner's lifetime instead of the
-/// process's. Ids from different interners are unrelated — never mix them in one seen-set.
-pub fn intern_canonical_config_in(
-    interner: &KeyInterner,
-    config: &BConfig,
-    constants: &BTreeSet<DataValue>,
-) -> u64 {
-    interner.intern(canonical_config_key(config, constants))
 }
 
 /// Check whether two plain instances are isomorphic under *some* bijection of their active
@@ -466,16 +391,12 @@ mod tests {
         let run2 = sem.execute(&shifted).unwrap();
 
         let consts = BTreeSet::new();
+        let interner = KeyInterner::new();
+        let id = |config: &BConfig| interner.intern_new(canonical_config_key(config, &consts)).0;
         for (c1, c2) in run1.configs().iter().zip(run2.configs().iter()) {
-            assert_eq!(
-                intern_canonical_config(c1, &consts),
-                intern_canonical_config(c2, &consts)
-            );
+            assert_eq!(id(c1), id(c2));
         }
-        assert_ne!(
-            intern_canonical_config(run1.configs()[1], &consts),
-            intern_canonical_config(run1.configs()[2], &consts)
-        );
+        assert_ne!(id(run1.configs()[1]), id(run1.configs()[2]));
     }
 
     #[test]
@@ -486,10 +407,9 @@ mod tests {
         let b = Instance::from_facts([(r("R"), vec![e(2)])]);
         let (id_a, fresh) = interner.intern_new(a.clone());
         assert!(fresh);
-        assert_eq!(interner.intern(a.clone()), id_a);
         assert_eq!(interner.intern_new(a.clone()), (id_a, false));
-        assert_ne!(interner.intern(b.clone()), id_a);
-        assert_eq!(interner.get(&a), Some(id_a));
+        assert_eq!(interner.intern_handle(a.clone()).0, id_a);
+        assert_eq!(interner.intern_new(b.clone()), (id_a + 1, true));
         assert_eq!(interner.len(), 2);
 
         // concurrent interning of the same keys must agree on the ids
@@ -498,7 +418,10 @@ mod tests {
                 .map(|_| {
                     s.spawn(|| {
                         (0..64u64)
-                            .map(|i| interner.intern(Instance::from_facts([(r("R"), vec![e(i)])])))
+                            .map(|i| {
+                                let key = Instance::from_facts([(r("R"), vec![e(i)])]);
+                                interner.intern_new(key).0
+                            })
                             .collect()
                     })
                 })
@@ -519,16 +442,15 @@ mod tests {
         let interner = KeyInterner::new();
         assert_eq!(interner.heap_bytes(), 0);
         let a = Instance::from_facts([(r("R"), vec![e(1)])]);
-        interner.intern(a.clone());
+        interner.intern_new(a.clone());
         let after_one = interner.heap_bytes();
         assert!(after_one > 0, "fresh intern must be charged");
         // deduplicated hits are free: no new allocation, no new charge
-        interner.intern(a.clone());
         interner.intern_new(a.clone());
         interner.intern_handle(a.clone());
         assert_eq!(interner.heap_bytes(), after_one);
         // a second distinct key grows the account
-        interner.intern(Instance::from_facts([(r("R"), vec![e(2)])]));
+        interner.intern_handle(Instance::from_facts([(r("R"), vec![e(2)])]));
         assert!(interner.heap_bytes() > after_one);
     }
 

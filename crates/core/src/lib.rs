@@ -45,9 +45,7 @@ pub use config::{BConfig, Config, History, SeqNo};
 pub use dms::{Dms, DmsBuilder};
 pub use error::CoreError;
 pub use fingerprint::{dms_delta, dms_fingerprint, fingerprint, DmsDelta, DmsFingerprint};
-pub use iso::{
-    canonical_config_key, intern_canonical_config, intern_canonical_config_in, KeyInterner,
-};
+pub use iso::{canonical_config_key, KeyInterner};
 pub use rdms_cert as cert;
 pub use recency::{recent_b, RecencySemantics};
 pub use run::{ExtendedRun, Step};

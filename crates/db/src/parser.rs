@@ -18,6 +18,13 @@
 //! ```
 //!
 //! Examples: `exists u. R(u) & !Q(u)`, `p & forall u. C1(u) => u = $1`.
+//!
+//! A parsed query may nest at most 128 levels. Each `!`, quantified variable, `=>` and
+//! parenthesised sub-query adds one level, as does each `&`/`|` operand after the first;
+//! the left side of `a => b` sits two levels down, since it parses to `!a | b`.
+//! Evaluation, printing and dropping a query all recurse over its tree, so deeper text —
+//! such as an invariant sent by a client — is rejected with [`DbError::Parse`] before it
+//! can exhaust a thread's stack.
 
 use crate::error::DbError;
 use crate::query::Query;
@@ -25,11 +32,18 @@ use crate::schema::RelName;
 use crate::term::{Term, Var};
 use crate::value::DataValue;
 
+/// How many levels a parsed query may nest (see the module docs).
+const MAX_DEPTH: usize = 128;
+
 /// Parse a query from its concrete syntax.
 pub fn parse_query(input: &str) -> Result<Query, DbError> {
     let tokens = tokenize(input)?;
-    let mut parser = Parser { tokens, pos: 0 };
-    let q = parser.parse_implies()?;
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        open: 0,
+    };
+    let (q, _) = parser.parse_implies()?;
     if parser.pos != parser.tokens.len() {
         return Err(parser.error("unexpected trailing input"));
     }
@@ -187,7 +201,12 @@ fn tokenize(input: &str) -> Result<Vec<SpannedTok>, DbError> {
 struct Parser {
     tokens: Vec<SpannedTok>,
     pos: usize,
+    /// Sub-queries the parser is inside of, one per recursive [`Parser::descend`].
+    open: usize,
 }
+
+/// A parsed (sub-)query and how many levels it nests.
+type Parsed = Result<(Query, usize), DbError>;
 
 impl Parser {
     fn peek(&self) -> Option<&Tok> {
@@ -220,42 +239,66 @@ impl Parser {
         }
     }
 
-    fn parse_implies(&mut self) -> Result<Query, DbError> {
-        let lhs = self.parse_or()?;
-        if self.peek() == Some(&Tok::Implies) {
-            self.next();
-            let rhs = self.parse_implies()?;
-            Ok(lhs.implies(rhs))
-        } else {
-            Ok(lhs)
+    /// `depth`, if a query may nest that deep.
+    fn within_bound(&self, depth: usize) -> Result<usize, DbError> {
+        if depth > MAX_DEPTH {
+            return Err(self.error(&format!("query nests deeper than {MAX_DEPTH} levels")));
         }
+        Ok(depth)
     }
 
-    fn parse_or(&mut self) -> Result<Query, DbError> {
-        let mut q = self.parse_and()?;
+    /// Parse a nested sub-query with `parse`. Each sub-query the parser is inside of adds
+    /// at least one level to the query it returns, so refusing to descend past
+    /// [`MAX_DEPTH`] rejects nothing `within_bound` would accept — and stops the recursion
+    /// before it can exhaust the stack.
+    fn descend(&mut self, parse: fn(&mut Parser) -> Parsed) -> Parsed {
+        self.within_bound(self.open + 1)?;
+        self.open += 1;
+        let parsed = parse(self);
+        self.open -= 1;
+        parsed
+    }
+
+    fn parse_implies(&mut self) -> Parsed {
+        let (lhs, lhs_depth) = self.parse_or()?;
+        if self.peek() != Some(&Tok::Implies) {
+            return Ok((lhs, lhs_depth));
+        }
+        self.next();
+        let (rhs, rhs_depth) = self.descend(Parser::parse_implies)?;
+        // `lhs => rhs` is `!lhs | rhs`
+        let depth = self.within_bound((lhs_depth + 2).max(rhs_depth + 1))?;
+        Ok((lhs.implies(rhs), depth))
+    }
+
+    fn parse_or(&mut self) -> Parsed {
+        let (mut q, mut depth) = self.parse_and()?;
         while self.peek() == Some(&Tok::Pipe) {
             self.next();
-            let rhs = self.parse_and()?;
+            let (rhs, rhs_depth) = self.parse_and()?;
+            depth = self.within_bound(depth.max(rhs_depth) + 1)?;
             q = q.or(rhs);
         }
-        Ok(q)
+        Ok((q, depth))
     }
 
-    fn parse_and(&mut self) -> Result<Query, DbError> {
-        let mut q = self.parse_unary()?;
+    fn parse_and(&mut self) -> Parsed {
+        let (mut q, mut depth) = self.parse_unary()?;
         while self.peek() == Some(&Tok::Amp) {
             self.next();
-            let rhs = self.parse_unary()?;
+            let (rhs, rhs_depth) = self.parse_unary()?;
+            depth = self.within_bound(depth.max(rhs_depth) + 1)?;
             q = q.and(rhs);
         }
-        Ok(q)
+        Ok((q, depth))
     }
 
-    fn parse_unary(&mut self) -> Result<Query, DbError> {
+    fn parse_unary(&mut self) -> Parsed {
         match self.peek() {
             Some(Tok::Bang) => {
                 self.next();
-                Ok(self.parse_unary()?.not())
+                let (q, depth) = self.descend(Parser::parse_unary)?;
+                Ok((q.not(), self.within_bound(depth + 1)?))
             }
             Some(Tok::Exists) | Some(Tok::Forall) => {
                 let is_exists = self.peek() == Some(&Tok::Exists);
@@ -266,14 +309,23 @@ impl Parser {
                     vars.push(self.parse_var()?);
                 }
                 self.expect(Tok::Dot, "'.' after quantified variables")?;
-                let body = self.parse_unary()?;
-                Ok(if is_exists {
+                let (body, depth) = self.descend(Parser::parse_unary)?;
+                // one level per variable, checked before the chain is built
+                let depth = self.within_bound(depth + vars.len())?;
+                let q = if is_exists {
                     Query::exists_many(vars, body)
                 } else {
                     Query::forall_many(vars, body)
-                })
+                };
+                Ok((q, depth))
             }
-            _ => self.parse_primary(),
+            Some(Tok::LParen) => {
+                self.next();
+                let (q, depth) = self.descend(Parser::parse_implies)?;
+                self.expect(Tok::RParen, "')'")?;
+                Ok((q, self.within_bound(depth + 1)?))
+            }
+            _ => Ok((self.parse_primary()?, 0)),
         }
     }
 
@@ -284,15 +336,11 @@ impl Parser {
         }
     }
 
+    /// A primary other than a parenthesised sub-query (see [`Parser::parse_unary`]).
     fn parse_primary(&mut self) -> Result<Query, DbError> {
         match self.next() {
             Some(Tok::True) => Ok(Query::True),
             Some(Tok::False) => Ok(Query::false_()),
-            Some(Tok::LParen) => {
-                let q = self.parse_implies()?;
-                self.expect(Tok::RParen, "')'")?;
-                Ok(q)
-            }
             Some(Tok::Const(n)) => {
                 // a constant can only start an equality
                 self.expect(Tok::Eq, "'=' after constant")?;
@@ -425,6 +473,51 @@ mod tests {
         assert!(parse_query("R(u) extra junk +").is_err());
         assert!(parse_query("$x").is_err());
         assert!(parse_query("").is_err());
+
+        // nesting far past the bound is an error, not a stack overflow
+        let too_deep = [
+            format!("{}true{}", "(".repeat(5_000), ")".repeat(5_000)),
+            format!("{}p", "!".repeat(10_000)),
+            format!("{}true", "exists u. ".repeat(10_000)),
+            vec!["p"; 100_000].join(" & "),
+        ];
+        for input in &too_deep {
+            match parse_query(input) {
+                Err(DbError::Parse { message, .. }) => {
+                    assert!(message.contains("deeper than"), "{message}")
+                }
+                other => panic!("expected a depth error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded_exactly() {
+        let nots = |n: usize| format!("{}p", "!".repeat(n));
+        let parens = |n: usize| format!("{}p{}", "(".repeat(n), ")".repeat(n));
+        let chain = |n: usize, op: &str| vec!["p"; n + 1].join(op);
+        let implications = |n: usize| format!("{}p", "p => ".repeat(n));
+        let quantified = |n: usize| {
+            let vars: Vec<String> = (0..n).map(|i| format!("u{i}")).collect();
+            format!("exists {}. p", vars.join(", "))
+        };
+        // at the bound every shape parses; one level more is rejected
+        assert!(parse_query(&nots(MAX_DEPTH)).is_ok());
+        assert!(parse_query(&nots(MAX_DEPTH + 1)).is_err());
+        assert!(parse_query(&parens(MAX_DEPTH)).is_ok());
+        assert!(parse_query(&parens(MAX_DEPTH + 1)).is_err());
+        for op in [" & ", " | "] {
+            assert!(parse_query(&chain(MAX_DEPTH, op)).is_ok());
+            assert!(parse_query(&chain(MAX_DEPTH + 1, op)).is_err());
+        }
+        assert!(parse_query(&quantified(MAX_DEPTH)).is_ok());
+        assert!(parse_query(&quantified(MAX_DEPTH + 1)).is_err());
+        // `a => b` nests `a` two levels down (`!a | b`) and `b` one
+        assert!(parse_query(&implications(MAX_DEPTH - 1)).is_ok());
+        assert!(parse_query(&implications(MAX_DEPTH)).is_err());
+        // a chain counts from its deepest operand
+        let deep_first = format!("{} & p", nots(MAX_DEPTH));
+        assert!(parse_query(&deep_first).is_err());
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! worst — never the server").
 
 use proptest::prelude::*;
-use rdms_serve::protocol::{self, FrameError, Request, Response};
+use rdms_serve::protocol::{self, FrameError, Request, Response, PROTOCOL_VERSION};
 use rdms_serve::{Server, ServerConfig, ServerHandle};
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::OnceLock;
@@ -136,4 +137,101 @@ fn wrong_shape_json_is_malformed_not_fatal() {
     }
     protocol::write_message(&mut stream, &Request::Ping).expect("write");
     assert_eq!(next_response(&mut replies), Some(Response::Pong));
+}
+
+/// An `Open` frame for a one-proposition system with one action, `a`, that changes
+/// nothing: `guard` is the action's guard as DMS JSON, `invariant` the concrete syntax
+/// (inserted as is, so it must need no JSON escaping).
+fn open_frame(guard: &str, invariant: &str) -> Vec<u8> {
+    format!(
+        r#"{{"Open":{{"version":{PROTOCOL_VERSION},"dms":{{"schema":{{"arities":{{"p":0}}}},
+        "initial":{{"relations":{{"p":[[]]}}}},"actions":[{{"name":"a","params":[],
+        "fresh":[],"guard":{guard},"del":{{"facts":{{}}}},"add":{{"facts":{{}}}}}}],
+        "constants":[]}},"bound":1,"invariant":"{invariant}","emit_certificates":false}}}}"#
+    )
+    .into_bytes()
+}
+
+/// `negations` nested `Not`s around `True`, as DMS JSON.
+fn nested_not(negations: usize) -> String {
+    format!(
+        "{}\"True\"{}",
+        "{\"Not\":".repeat(negations),
+        "}".repeat(negations)
+    )
+}
+
+/// Send one raw frame and read the reply.
+fn raw_turn(
+    stream: &mut TcpStream,
+    replies: &mut protocol::FrameReader<TcpStream>,
+    payload: &[u8],
+) -> Option<Response> {
+    protocol::write_frame(stream, payload).expect("framed write");
+    next_response(replies)
+}
+
+/// JSON nested past the parser's recursion limit (128 levels, as in upstream serde_json)
+/// is `malformed-frame`: the connection thread must not overflow its stack, which would
+/// abort the server and every session with it.
+#[test]
+fn deeply_nested_json_is_malformed_not_fatal() {
+    let depth = MAX_FRAME_LEN / 2 - 1;
+    let brackets = format!("{}{}", "[".repeat(depth), "]".repeat(depth)).into_bytes();
+    for payload in [brackets, open_frame(&nested_not(5_000), "true")] {
+        let (mut stream, mut replies) = connect();
+        match raw_turn(&mut stream, &mut replies, &payload) {
+            Some(Response::Rejected { code, .. }) => assert_eq!(code, "malformed-frame"),
+            other => panic!("expected malformed-frame, got {other:?}"),
+        }
+        protocol::write_message(&mut stream, &Request::Ping).expect("write");
+        assert_eq!(next_response(&mut replies), Some(Response::Pong));
+    }
+    // the same `Open` with a guard inside the limit is a well-formed request
+    let (mut stream, mut replies) = connect();
+    let shallow = open_frame(&nested_not(100), "true");
+    assert!(matches!(
+        raw_turn(&mut stream, &mut replies, &shallow),
+        Some(Response::Opened { .. })
+    ));
+}
+
+/// An invariant nested past the query parser's bound is `bad-invariant`, and the
+/// connection goes on; one at the bound opens a session that checks transactions.
+#[test]
+fn deeply_nested_invariants_are_rejected_not_fatal() {
+    let (mut stream, mut replies) = connect();
+    let too_deep = format!("{}true{}", "(".repeat(5_000), ")".repeat(5_000));
+    match raw_turn(
+        &mut stream,
+        &mut replies,
+        &open_frame("\"True\"", &too_deep),
+    ) {
+        Some(Response::Rejected { code, .. }) => assert_eq!(code, "bad-invariant"),
+        other => panic!("expected bad-invariant, got {other:?}"),
+    }
+    protocol::write_message(&mut stream, &Request::Ping).expect("write");
+    assert_eq!(next_response(&mut replies), Some(Response::Pong));
+
+    // 128 negations of `p`, the deepest invariant the parser accepts
+    let (mut stream, mut replies) = connect();
+    let at_bound = format!("{}p", "!".repeat(128));
+    assert!(matches!(
+        raw_turn(
+            &mut stream,
+            &mut replies,
+            &open_frame("\"True\"", &at_bound)
+        ),
+        Some(Response::Opened { .. })
+    ));
+    let check = Request::Check {
+        action: "a".to_string(),
+        bindings: BTreeMap::new(),
+    };
+    protocol::write_message(&mut stream, &check).expect("write");
+    assert!(matches!(
+        next_response(&mut replies),
+        Some(Response::Ok { run_len: 1, .. })
+    ));
+    assert_server_alive();
 }
