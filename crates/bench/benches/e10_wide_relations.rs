@@ -2,10 +2,12 @@
 //!
 //! The `wide` ledger workload has `n` single-column relations and one action per ledger,
 //! each touching exactly one relation; after the seeding step every transition rewrites one
-//! ledger and leaves the other `n − 1` untouched. Per-successor cost under a value-semantics
-//! instance representation is Θ(n) (clone every relation, re-canonicalise every relation);
-//! under the copy-on-write representation it is O(1) amortised. Sweeping `n` with a fixed
-//! search budget therefore measures exactly the representation effect.
+//! ledger and leaves the other `n − 1` untouched. Applying a transition under a
+//! value-semantics instance representation clones all `n` relations; under the
+//! copy-on-write representation it copies one, O(1) amortised. The canonical key of each
+//! successor is built from all of its facts either way (one pass into a flat buffer, see
+//! `rdms_core::iso::CanonicalKey`). Sweeping `n` with a fixed search budget therefore
+//! measures the representation effect on top of that linear pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rdms_checker::{Explorer, ExplorerConfig};

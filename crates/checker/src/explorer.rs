@@ -46,8 +46,8 @@ use crate::request::CheckTarget;
 use crate::verdict::{CheckStats, CutoffReason, Verdict};
 use rdms_core::iso::canonical_config_key;
 use rdms_core::{
-    commit, BConfig, CancelToken, Dms, EdgeMap, ExtendedRun, KeyInterner, RecencySemantics,
-    StateRecord, Step,
+    commit, BConfig, CancelToken, CanonicalKey, Dms, EdgeMap, ExtendedRun, KeyInterner,
+    RecencySemantics, StateRecord, Step,
 };
 use rdms_db::metrics::{record_into, SearchCounters};
 use rdms_db::{answers, DataValue, HeapSize, Query};
@@ -496,7 +496,9 @@ impl<'a> SearchDriver<'a> {
                 let key = canonical_config_key(root.tip(), &self.constants);
                 let (id, handle) = interner.intern_handle(key);
                 seen.insert(id, 0);
-                root_seed = recording.is_some().then(|| RecordSeed::new(id, handle));
+                root_seed = recording
+                    .is_some()
+                    .then_some(RecordSeed { id, key: handle });
             }
             let mut stack: Vec<(N, Option<RecordSeed>)> = vec![(root, root_seed)];
             let mut peak = 1usize;
@@ -566,7 +568,9 @@ impl<'a> SearchDriver<'a> {
                             stats.configs_deduplicated += 1;
                             continue;
                         }
-                        child_seed = recording.is_some().then(|| RecordSeed::new(id, handle));
+                        child_seed = recording
+                            .is_some()
+                            .then_some(RecordSeed { id, key: handle });
                     }
                     stack.push((node.child(step, next), child_seed));
                     peak = peak.max(stack.len());
@@ -619,13 +623,7 @@ impl<'a> SearchDriver<'a> {
 /// seeds.
 struct RecordSeed {
     id: u64,
-    key: Arc<rdms_db::Instance>,
-}
-
-impl RecordSeed {
-    fn new(id: u64, key: Arc<rdms_db::Instance>) -> RecordSeed {
-        RecordSeed { id, key }
-    }
+    key: Arc<CanonicalKey>,
 }
 
 /// Certificate evidence as recorded *during* a search: interned canonical id → canonical
@@ -634,7 +632,7 @@ impl RecordSeed {
 /// case a `Safe` certificate can be emitted — so violation and cutoff searches record ids
 /// (integers) and key handles (Arc bumps) but never pay the per-state hashing and
 /// conversion.
-type RawEdges = HashMap<u64, (Arc<rdms_db::Instance>, Vec<u64>)>;
+type RawEdges = HashMap<u64, (Arc<CanonicalKey>, Vec<u64>)>;
 
 /// Lower id-based recording to the certificate [`EdgeMap`]: convert every recorded
 /// state's canonical key to wire facts and its digest in one fused walk
@@ -914,6 +912,16 @@ mod tests {
         assert!(stats.elapsed > Duration::ZERO);
     }
 
+    /// The booking agency at b = 3, depth 3: its guards probe relation indexes, which
+    /// `example_3_1`'s guards never do. Built afresh per call, so no earlier search has
+    /// warmed its relation caches.
+    fn booking_search() -> Verdict {
+        let booking = rdms_workloads::booking::build(&Default::default());
+        Explorer::new(&booking.dms, 3)
+            .with_config(config(3, 50_000))
+            .run(Query::True)
+    }
+
     #[test]
     fn sharing_and_index_statistics_are_reported() {
         let dms = example_3_1();
@@ -924,6 +932,9 @@ mod tests {
         // shared far more relation handles than it materialised
         assert!(stats.relations_shared > 0);
         assert!(stats.relations_shared > stats.relations_materialized);
+
+        let verdict = booking_search();
+        let stats = verdict.stats();
         assert!(stats.index_probes > 0);
         // the exact rate depends on how often tiny relations amortise their caches — only
         // require both cases to have been observed
@@ -942,11 +953,7 @@ mod tests {
 
         // Two structurally identical DMSs with *separate* relation storage: the same
         // sequential search over either must issue exactly the same counter traffic.
-        let build = || example_3_1();
-        let reference_dms = build();
-        let reference = Explorer::new(&reference_dms, 2)
-            .with_config(config(4, 50_000))
-            .run(Query::True);
+        let reference = booking_search();
 
         // Re-run the same search while other threads generate heavy unrelated counter
         // traffic (searches of their own plus raw instance churn). With global-delta
@@ -977,16 +984,14 @@ mod tests {
                     }
                 });
             }
-            let observed_dms = build();
-            let observed = Explorer::new(&observed_dms, 2)
-                .with_config(config(4, 50_000))
-                .run(Query::True);
+            let observed = booking_search();
             stop.store(true, Ordering::Relaxed);
             observed
         });
 
         let a = reference.stats();
         let b = concurrent.stats();
+        assert!(a.index_probes > 0);
         assert_eq!(a.relations_shared, b.relations_shared);
         assert_eq!(a.relations_materialized, b.relations_materialized);
         assert_eq!(a.index_probes, b.index_probes);

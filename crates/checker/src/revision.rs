@@ -62,10 +62,10 @@ use crate::request::CheckTarget;
 use crate::verdict::{CheckStats, Verdict};
 use rdms_core::fingerprint::{dms_delta, dms_fingerprint, DmsFingerprint, UnchangedActions};
 use rdms_core::iso::canonical_config_key;
-use rdms_core::{BConfig, Dms, ExtendedRun, KeyInterner, RecencySemantics, Step};
+use rdms_core::{BConfig, CanonicalKey, Dms, ExtendedRun, KeyInterner, RecencySemantics, Step};
 use rdms_db::heap::HeapSize;
 use rdms_db::metrics::{record_into, SearchCounters};
-use rdms_db::{Instance, Query};
+use rdms_db::Query;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -137,7 +137,7 @@ pub struct RecheckReport {
 #[derive(Clone)]
 struct StateEntry {
     /// The canonical key (interned; the portable identity).
-    key: Arc<Instance>,
+    key: Arc<CanonicalKey>,
     /// Shallowest depth at which the state was reached.
     depth: usize,
     /// A representative run reaching the state at that depth — a genuine run of the DMS
@@ -626,7 +626,7 @@ impl Workspace {
         };
         let mut seen: HashMap<u64, usize> = HashMap::new();
         let mut states: HashMap<u64, StateEntry> = HashMap::new();
-        let mut stack: Vec<(ExtendedRun, u64, Arc<Instance>)> = Vec::new();
+        let mut stack: Vec<(ExtendedRun, u64, Arc<CanonicalKey>)> = Vec::new();
         let mut depth_cutoff = false;
         let mut budget_cutoff = false;
         let mut peak = 1usize;

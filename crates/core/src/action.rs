@@ -2,7 +2,7 @@
 
 use crate::error::CoreError;
 use rdms_db::{Pattern, Query, Schema, Sym, Var};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -14,7 +14,9 @@ use std::fmt;
 /// * `guard` — a FOL(R) query over the current database,
 /// * `del` — a database instance over `⃗u` (tuples to remove),
 /// * `add` — a database instance over `⃗u ⊎ ⃗v` (tuples to insert), with `⃗v ⊆ adom(add)`.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Deserializing validates exactly as [`Action::new`] does.
+#[derive(Clone, PartialEq, Eq, Serialize)]
 pub struct Action {
     name: Sym,
     params: Vec<Var>,
@@ -22,6 +24,25 @@ pub struct Action {
     guard: Query,
     del: Pattern,
     add: Pattern,
+}
+
+/// The serialized form of an [`Action`], read before validation.
+#[derive(Deserialize)]
+struct ActionWire {
+    name: String,
+    params: Vec<Var>,
+    fresh: Vec<Var>,
+    guard: Query,
+    del: Pattern,
+    add: Pattern,
+}
+
+impl<'de> Deserialize<'de> for Action {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let w = ActionWire::deserialize(deserializer)?;
+        Action::new(&w.name, w.params, w.fresh, w.guard, w.del, w.add)
+            .map_err(serde::de::Error::custom)
+    }
 }
 
 impl Action {

@@ -7,16 +7,16 @@
 //! verify, never a wrong acceptance.
 //!
 //! The one place where both sides must agree bit-for-bit is the state digest:
-//! [`state_digest`] streams the canonical instance (see
-//! [`canonical_config_key`](crate::iso::canonical_config_key)) through the verifier's own
-//! [`Hasher`](rdms_cert::Hasher) in exactly the encoding
-//! [`rdms_cert::instance_digest`] prescribes. Relations iterate in ascending name order on
+//! [`state_record`] streams a [`CanonicalKey`]'s facts through the verifier's own
+//! [`Hasher`](rdms_cert::Hasher) in exactly the encoding [`rdms_cert::instance_digest`]
+//! prescribes. Relations iterate in ascending name order on
 //! both sides (the engine's interned symbols order lexicographically, wire instances are
 //! name-keyed `BTreeMap`s), and tuples ascending, so the streamed and recomputed digests
 //! coincide.
 
 use crate::action::Action;
 use crate::dms::Dms;
+use crate::iso::CanonicalKey;
 use crate::run::ExtendedRun;
 use rdms_cert::{
     ActionData, AtomPattern, CertVerdict, Certificate, Formula, InstanceData, PatTerm, StateEntry,
@@ -125,51 +125,27 @@ pub fn system(dms: &Dms) -> System {
     }
 }
 
-/// The certificate digest of a canonical instance, streamed without materialising the wire
-/// form. Must stay in lockstep with [`rdms_cert::instance_digest`]'s documented encoding.
-pub fn state_digest(instance: &Instance) -> u64 {
+/// Convert a canonical key to wire facts *and* its certificate digest in a single walk
+/// over its buffer — the digest is streamed while the wire facts are built. Equivalent to
+/// `(rdms_cert::instance_digest(&instance_data(i)), instance_data(i))` for the decoded
+/// instance `i`: the key holds relations in ascending name order and tuples ascending,
+/// exactly the wire iteration order.
+pub fn state_record(key: &CanonicalKey) -> (u64, InstanceData) {
     let mut h = rdms_cert::Hasher::new();
-    h.write_u64(instance.populated_relations().count() as u64);
-    for rel in instance.populated_relations() {
-        h.write_bytes(rel.as_str().as_bytes());
-        h.write_u8(0xFF);
-        h.write_u64(instance.relation_size(rel) as u64);
-        for tuple in instance.relation(rel) {
-            h.write_u64(tuple.len() as u64);
-            for v in tuple {
-                h.write_u64(v.index());
-            }
-        }
-    }
-    h.finish()
-}
-
-/// Convert a canonical instance to wire facts *and* its certificate digest in a single
-/// walk — the digest is streamed while the wire facts are built, so recording a state for
-/// a `Safe` certificate pays one traversal instead of two. Equivalent to
-/// `(rdms_cert::instance_digest(&instance_data(i)), instance_data(i))` by construction:
-/// the engine iterates relations in ascending name order and tuples ascending, exactly the
-/// wire iteration order.
-pub fn state_record(instance: &Instance) -> (u64, InstanceData) {
-    let mut h = rdms_cert::Hasher::new();
-    h.write_u64(instance.populated_relations().count() as u64);
-    let data: InstanceData = instance
-        .populated_relations()
-        .map(|rel| {
+    h.write_u64(key.relations().len() as u64);
+    let data: InstanceData = key
+        .relations()
+        .map(|(rel, tuples)| {
             h.write_bytes(rel.as_str().as_bytes());
             h.write_u8(0xFF);
-            h.write_u64(instance.relation_size(rel) as u64);
-            let tuples = instance
-                .relation(rel)
-                .map(|t| {
-                    h.write_u64(t.len() as u64);
-                    t.iter()
-                        .map(|v| {
-                            let value = v.index();
-                            h.write_u64(value);
-                            value
-                        })
-                        .collect()
+            h.write_u64(tuples.len() as u64);
+            let tuples = tuples
+                .map(|tuple| {
+                    h.write_u64(tuple.len() as u64);
+                    for &value in tuple {
+                        h.write_u64(value);
+                    }
+                    tuple.to_vec()
                 })
                 .collect();
             (rel.as_str().to_string(), tuples)
@@ -285,27 +261,45 @@ mod tests {
         inst
     }
 
+    /// The canonical key of `instance` when all its values are declared constants, so the
+    /// key holds its facts unrelabelled.
+    fn unrelabelled_key(instance: Instance) -> CanonicalKey {
+        let constants = instance.active_domain();
+        crate::iso::canonical_config_key(&crate::BConfig::initial(instance), &constants)
+    }
+
     #[test]
     fn streamed_digest_matches_the_wire_digest() {
         let inst = sample_instance();
         assert_eq!(
-            state_digest(&inst),
+            state_record(&unrelabelled_key(inst.clone())).0,
             rdms_cert::instance_digest(&instance_data(&inst))
         );
         assert_eq!(
-            state_digest(&Instance::new()),
+            state_record(&unrelabelled_key(Instance::new())).0,
             rdms_cert::instance_digest(&InstanceData::new())
         );
     }
 
     #[test]
     fn fused_state_record_matches_the_two_pass_conversion() {
-        for inst in [sample_instance(), Instance::new()] {
-            let (digest, facts) = state_record(&inst);
+        // a relabelled key (fresh values numbered out of value order) and two unrelabelled
+        // ones
+        let mut config = crate::BConfig::initial(sample_instance());
+        config.seq_no_mut().assign(DataValue(3), 1);
+        config.seq_no_mut().assign(DataValue(2), 2);
+        let keys = [
+            crate::iso::canonical_config_key(&config, &[DataValue(1)].into()),
+            unrelabelled_key(sample_instance()),
+            unrelabelled_key(Instance::new()),
+        ];
+        for key in &keys {
+            let inst = key.to_instance();
+            let (digest, facts) = state_record(key);
             assert_eq!(facts, instance_data(&inst));
             assert_eq!(digest, rdms_cert::instance_digest(&facts));
-            assert_eq!(digest, state_digest(&inst));
         }
+        assert_ne!(keys[0], keys[1]);
     }
 
     #[test]

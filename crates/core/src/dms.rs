@@ -4,7 +4,7 @@ use crate::action::{Action, ActionBuilder};
 use crate::config::{BConfig, Config};
 use crate::error::CoreError;
 use rdms_db::{DataValue, Instance, Schema};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize};
 use std::collections::BTreeSet;
 
 /// A database-manipulating system `S = ⟨I₀, acts⟩` over a schema `R` and the data domain `∆`.
@@ -12,7 +12,10 @@ use std::collections::BTreeSet;
 /// The optional set of **constants** `∆₀` realises the extension of Appendix F.1: constants
 /// may appear in the initial instance and inside actions; [`crate::transform::constants`]
 /// compiles them away, producing the constant-free DMS the core theory is stated for.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Deserializing validates exactly as [`Dms::new`] does, so a DMS read from JSON is as
+/// well-formed as a built one.
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct Dms {
     schema: Schema,
     initial: Instance,
@@ -27,13 +30,18 @@ impl Dms {
     /// * every action validates against the schema,
     /// * action names are unique,
     /// * `adom(I₀) ⊆ ∆₀` (for a constant-free DMS this is the paper's `adom(I₀) = ∅`),
-    /// * every constant mentioned inside an action is declared in `∆₀`.
+    /// * every constant mentioned inside an action is declared in `∆₀`,
+    /// * every declared constant is below [`rdms_cert::RANK_BASE`], so that it cannot
+    ///   collide with a relabelled fresh value in a [canonical key](crate::iso::CanonicalKey).
     pub fn new(
         schema: Schema,
         initial: Instance,
         actions: Vec<Action>,
         constants: BTreeSet<DataValue>,
     ) -> Result<Dms, CoreError> {
+        if let Some(&c) = constants.range(DataValue(rdms_cert::RANK_BASE)..).next() {
+            return Err(CoreError::ConstantInRankRange(c));
+        }
         initial.validate(&schema)?;
         for v in initial.active_domain() {
             if !constants.contains(&v) {
@@ -135,6 +143,23 @@ impl Dms {
     /// Whether every guard is a union of conjunctive queries.
     pub fn all_guards_ucq(&self) -> bool {
         self.actions.iter().all(Action::guard_is_ucq)
+    }
+}
+
+/// The serialized form of a [`Dms`], read before validation.
+#[derive(Deserialize)]
+struct DmsWire {
+    schema: Schema,
+    initial: Instance,
+    actions: Vec<Action>,
+    constants: BTreeSet<DataValue>,
+}
+
+impl<'de> Deserialize<'de> for Dms {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let wire = DmsWire::deserialize(deserializer)?;
+        Dms::new(wire.schema, wire.initial, wire.actions, wire.constants)
+            .map_err(serde::de::Error::custom)
     }
 }
 
@@ -358,6 +383,71 @@ mod tests {
             BTreeSet::from([DataValue::e(3)]),
         );
         assert!(ok.is_ok());
+    }
+
+    /// `R/1` with `I₀ = {R(c)}` for the declared constant `c`, and an action `add` that
+    /// adds `R(v)` for a fresh `v`.
+    fn one_constant_dms(c: u64) -> Result<Dms, CoreError> {
+        DmsBuilder::new()
+            .relation("R", 1)
+            .constants([DataValue(c)])
+            .initial(Instance::from_facts([(r("R"), vec![DataValue(c)])]))
+            .action(
+                ActionBuilder::new("add")
+                    .fresh([v("v")])
+                    .guard(Query::True)
+                    .add(Pattern::from_facts([(r("R"), vec![Term::Var(v("v"))])])),
+            )
+            .build()
+    }
+
+    #[test]
+    fn constants_must_be_below_the_rank_base() {
+        let base = rdms_cert::RANK_BASE;
+        assert_eq!(base, u64::MAX / 2);
+        for c in [base, u64::MAX] {
+            let err = one_constant_dms(c).unwrap_err();
+            assert!(
+                matches!(err, CoreError::ConstantInRankRange(DataValue(v)) if v == c),
+                "{err}"
+            );
+        }
+        assert!(one_constant_dms(base - 1).is_ok());
+    }
+
+    /// The JSON of [`one_constant_dms`], with `constants` declared, `initial` the value in
+    /// `I₀` and `fresh` the action's fresh variable.
+    fn dms_json(constants: &[u64], initial: u64, fresh: &str) -> String {
+        format!(
+            r#"{{"schema":{{"arities":{{"R":1}}}},"initial":{{"relations":{{"R":[[{initial}]]}}}},
+            "actions":[{{"name":"add","params":[],"fresh":["{fresh}"],"guard":"True",
+            "del":{{"facts":{{}}}},"add":{{"facts":{{"R":[[{{"Var":"v"}}]]}}}}}}],
+            "constants":{constants:?}}}"#
+        )
+    }
+
+    #[test]
+    fn deserializing_validates_like_the_constructor() {
+        let valid = one_constant_dms(7).unwrap();
+        let json = serde_json::to_string(&valid).unwrap();
+        assert_eq!(serde_json::from_str::<Dms>(&json).unwrap(), valid);
+        assert_eq!(
+            serde_json::from_str::<Dms>(&dms_json(&[7], 7, "v")).unwrap(),
+            valid
+        );
+
+        let base = rdms_cert::RANK_BASE;
+        for (bad, why) in [
+            (dms_json(&[], 7, "v"), "not a declared constant"),
+            (dms_json(&[base], base, "v"), "canonical states"),
+            (
+                dms_json(&[7], 7, "w"),
+                "neither a parameter nor a fresh input",
+            ),
+        ] {
+            let err = serde_json::from_str::<Dms>(&bad).unwrap_err().to_string();
+            assert!(err.contains(why), "{err}");
+        }
     }
 
     #[test]

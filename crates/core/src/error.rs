@@ -28,6 +28,9 @@ pub enum CoreError {
     InitialUsesNonConstant(DataValue),
     /// An action mentions a data value that was not declared as a constant.
     UndeclaredConstant { action: String, value: DataValue },
+    /// A declared constant is at or above [`rdms_cert::RANK_BASE`], where canonical keys
+    /// put relabelled fresh values: it could collide with one of them.
+    ConstantInRankRange(DataValue),
     /// A transition was attempted with a substitution that is not an instantiating
     /// substitution for the action at the configuration.
     NotInstantiating { action: String, reason: String },
@@ -86,6 +89,12 @@ impl fmt::Display for CoreError {
             CoreError::UndeclaredConstant { action, value } => {
                 write!(f, "action {action}: value {value} is not a declared constant")
             }
+            CoreError::ConstantInRankRange(v) => write!(
+                f,
+                "declared constant {v} is not below {}, where canonical states number \
+                 fresh values",
+                rdms_cert::RANK_BASE
+            ),
             CoreError::NotInstantiating { action, reason } => {
                 write!(f, "substitution is not instantiating for action {action}: {reason}")
             }

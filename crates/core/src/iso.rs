@@ -8,55 +8,154 @@
 //!
 //! * [`runs_isomorphic`] — check Lemma E.1's conclusion directly on two runs,
 //! * [`canonical_config_key`] — a canonical form of a `b`-bounded configuration obtained by
-//!   relabelling active-domain values by their recency rank; two configurations with the same
-//!   key have isomorphic futures, which is what the bounded explorer uses to deduplicate its
-//!   search space,
+//!   relabelling active-domain values by their recency rank, stored flat as a
+//!   [`CanonicalKey`]; two configurations with the same key have isomorphic futures, which
+//!   is what the bounded explorer uses to deduplicate its search space,
 //! * [`KeyInterner`] — an interner mapping canonical keys to dense `u64` ids, so that the
 //!   explorer's seen-set, a revision workspace's explored fixpoint and an incremental
 //!   session's state count deduplicate configurations with an integer probe instead of
-//!   comparing whole instances. Each search, workspace or session owns one; nothing is
+//!   comparing whole keys. Each search, workspace or session owns one; nothing is
 //!   interned process-wide.
 
 use crate::config::BConfig;
 use crate::run::ExtendedRun;
 use parking_lot::Mutex;
-use rdms_db::{DataValue, Instance};
+use rdms_cert::RANK_BASE;
+use rdms_db::heap::{HeapSize, ARC_HEADER, HASH_ENTRY_OVERHEAD};
+use rdms_db::{DataValue, Instance, RelName};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
-/// A canonical form of a configuration: the instance with every non-constant active-domain
-/// value replaced by its recency rank (`0` = most recent), leaving declared constants fixed.
+/// A configuration's facts with every non-constant value relabelled to `RANK_BASE + r`
+/// ([`rdms_cert::RANK_BASE`]), `r` its recency rank (`0` = most recent). Declared
+/// constants, which [`Dms::new`](crate::Dms::new) keeps below `RANK_BASE`, stay fixed.
 ///
-/// Two configurations with the same canonical key are isomorphic in the sense of Lemma E.1
+/// Two configurations with the same key are isomorphic in the sense of Lemma E.1
 /// (restricted to the current instance), and — because fresh values are always new — admit
 /// exactly the same `b`-bounded futures up to isomorphism.
 ///
-/// Rank values are re-based at `u64::MAX/2` downwards so they can never collide with declared
-/// constants (which are small in practice); the offset is irrelevant as long as it is applied
-/// consistently.
-///
-/// The relabelling is **incremental**: it goes through
-/// [`Instance::map_values_shared`](rdms_db::Instance::map_values_shared), so a relation whose
-/// values the rank mapping leaves fixed (constants-only relations, propositions) shares its
-/// storage with the source instance, and a relation relabelled exactly as on the previous
-/// canonicalisation of the same (shared) storage reuses the cached result. When a successor
-/// configuration touches 1 of N relations and the recency ranks of the untouched relations'
-/// values are unchanged, only the delta is re-canonicalised — and the interner re-hashes only
-/// the touched relation, because instance hashing runs over per-relation cached content
-/// hashes.
-pub fn canonical_config_key(config: &BConfig, constants: &BTreeSet<DataValue>) -> Instance {
-    let mut mapping: BTreeMap<DataValue, DataValue> = BTreeMap::new();
-    const RANK_BASE: u64 = u64::MAX / 2;
-    for (rank, value) in config
+/// Equality and hashing run over the two buffers; relation names hash by their
+/// process-wide symbol, so keys of different systems stay comparable. The order is that of
+/// the decoded instances ([`to_instance`](Self::to_instance)).
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct CanonicalKey {
+    /// Per populated relation, in name order: name, tuple count, arity.
+    rels: Box<[(RelName, u32, u32)]>,
+    /// Every relation's relabelled tuples in ascending order, relations as in `rels`.
+    values: Box<[u64]>,
+}
+
+/// The canonical key of `config`, built in one pass over its facts; every tuple of a
+/// relation must have the same width, as the schema of a validated `Dms` guarantees.
+pub fn canonical_config_key(config: &BConfig, constants: &BTreeSet<DataValue>) -> CanonicalKey {
+    // value → canonical value, sorted by value; constants are absent and stay fixed
+    let mut relabel: Vec<(DataValue, u64)> = config
         .recency_ranks()
         .iter()
         .filter(|v| !constants.contains(v))
         .enumerate()
-    {
-        mapping.insert(*value, DataValue(RANK_BASE + rank as u64));
+        .map(|(rank, &value)| (value, RANK_BASE + rank as u64))
+        .collect();
+    relabel.sort_unstable();
+    let canonical = |value: &DataValue| match relabel.binary_search_by_key(value, |&(v, _)| v) {
+        Ok(at) => relabel[at].1,
+        Err(_) => value.0,
+    };
+    let instance = config.instance();
+    let width = |tuples: &BTreeSet<Vec<DataValue>>| tuples.first().map_or(0, Vec::len);
+    let len = instance
+        .relation_sets()
+        .map(|(_, t)| t.len() * width(t))
+        .sum();
+    let mut rels = Vec::with_capacity(instance.relation_sets().len());
+    let mut values = Vec::with_capacity(len);
+    // one relation's relabelled tuples, and the order that sorts them
+    let (mut mapped, mut order) = (Vec::new(), Vec::new());
+    for (rel, tuples) in instance.relation_sets() {
+        let arity = width(tuples);
+        mapped.clear();
+        for tuple in tuples {
+            assert_eq!(tuple.len(), arity, "relation {rel} mixes tuple widths");
+            mapped.extend(tuple.iter().map(canonical));
+        }
+        let tuple = |i: usize| &mapped[i * arity..(i + 1) * arity];
+        order.clear();
+        order.extend(0..tuples.len());
+        order.sort_unstable_by(|&a, &b| tuple(a).cmp(tuple(b)));
+        order
+            .iter()
+            .for_each(|&i| values.extend_from_slice(tuple(i)));
+        rels.push((rel, tuples.len() as u32, arity as u32));
     }
-    config.instance().map_values_shared(&mapping)
+    CanonicalKey {
+        rels: rels.into_boxed_slice(),
+        values: values.into_boxed_slice(),
+    }
+}
+
+impl CanonicalKey {
+    /// The key's relations in name order, each with its tuples in ascending order.
+    pub fn relations(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (RelName, impl ExactSizeIterator<Item = &[u64]>)> {
+        let mut offset = 0;
+        self.rels.iter().map(move |&(rel, count, arity)| {
+            let (count, arity) = (count as usize, arity as usize);
+            let block = &self.values[offset..offset + count * arity];
+            offset += block.len();
+            (
+                rel,
+                (0..count).map(move |i| &block[i * arity..(i + 1) * arity]),
+            )
+        })
+    }
+
+    /// The decoded canonical instance.
+    pub fn to_instance(&self) -> Instance {
+        Instance::from_facts(self.relations().flat_map(|(rel, tuples)| {
+            tuples.map(move |tuple| (rel, tuple.iter().copied().map(DataValue).collect()))
+        }))
+    }
+}
+
+impl PartialOrd for CanonicalKey {
+    fn partial_cmp(&self, other: &CanonicalKey) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for CanonicalKey {
+    /// [`Instance`]'s order on the decoded instances: relation names by text, never by
+    /// symbol id (which follows interning order), so sorting by key is deterministic.
+    fn cmp(&self, other: &CanonicalKey) -> Ordering {
+        let (mut left, mut right) = (self.relations(), other.relations());
+        loop {
+            let order = match (left.next(), right.next()) {
+                (Some((a, a_tuples)), Some((b, b_tuples))) => {
+                    a.cmp(&b).then_with(|| a_tuples.cmp(b_tuples))
+                }
+                (a, b) => return a.is_some().cmp(&b.is_some()),
+            };
+            if order.is_ne() {
+                return order;
+            }
+        }
+    }
+}
+
+impl HeapSize for CanonicalKey {
+    /// Exactly the two buffers.
+    fn heap_size(&self) -> usize {
+        std::mem::size_of_val(&*self.rels) + std::mem::size_of_val(&*self.values)
+    }
+}
+
+impl fmt::Debug for CanonicalKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&self.to_instance(), f)
+    }
 }
 
 /// Try to extend a partial bijection with `a ↦ b`; returns `false` on conflict.
@@ -116,8 +215,8 @@ pub fn runs_isomorphic(left: &ExtendedRun, right: &ExtendedRun) -> bool {
     true
 }
 
-/// An interner mapping canonical configuration keys (instances produced by
-/// [`canonical_config_key`]) to dense `u64` ids: the `n`-th distinct key gets id `n - 1`.
+/// An interner mapping canonical configuration keys (produced by [`canonical_config_key`])
+/// to dense `u64` ids: the `n`-th distinct key gets id `n - 1`.
 ///
 /// Two configurations receive the same id iff their canonical keys are equal, i.e. iff they
 /// are isomorphic in the sense of Lemma E.1. The explorer keys its seen-set by these ids,
@@ -138,24 +237,27 @@ pub struct KeyInterner {
 
 #[derive(Default)]
 struct Table {
-    // keys are `Arc`-wrapped so callers that need to hold on to the canonical instance
-    // (certificate recording) can get a shared handle instead of cloning the instance;
-    // `Arc<Instance>` hashes and compares through the instance, and borrows as
-    // `&Instance` for lookups
-    ids: HashMap<Arc<Instance>, u64>,
-    /// Estimated heap bytes of every key in `ids` (see [`KeyInterner::heap_bytes`]).
+    // keys are `Arc`-wrapped so callers that hold on to a key (certificate recording, a
+    // workspace's explored set) share the interner's copy; `Arc<CanonicalKey>` hashes
+    // and compares through the key, and borrows as `&CanonicalKey` for lookups
+    ids: HashMap<Arc<CanonicalKey>, u64>,
+    /// Heap bytes of every key in `ids` (see [`KeyInterner::heap_bytes`]).
     bytes: usize,
 }
 
+/// Bytes charged per interned key on top of its two buffers: the `Arc` allocation (header
+/// and the key's inline part) and the map entry with its bookkeeping.
+const KEY_ENTRY_BYTES: usize = ARC_HEADER
+    + std::mem::size_of::<CanonicalKey>()
+    + std::mem::size_of::<(Arc<CanonicalKey>, u64)>()
+    + HASH_ENTRY_OVERHEAD;
+
 impl Table {
-    /// Store `key`, which is not interned yet, under the next id and charge its bytes: the
-    /// `Arc` allocation plus the instance's heap, plus the map's per-entry overhead.
-    fn insert(&mut self, key: Instance) -> (u64, Arc<Instance>) {
-        use rdms_db::heap::{HeapSize, HASH_ENTRY_OVERHEAD};
+    /// Store `key`, which is not interned yet, under the next id and charge its bytes.
+    fn insert(&mut self, key: CanonicalKey) -> (u64, Arc<CanonicalKey>) {
         let id = self.ids.len() as u64;
+        self.bytes += key.heap_size() + KEY_ENTRY_BYTES;
         let stored = Arc::new(key);
-        self.bytes +=
-            stored.heap_size() + std::mem::size_of::<(Arc<Instance>, u64)>() + HASH_ENTRY_OVERHEAD;
         self.ids.insert(Arc::clone(&stored), id);
         (id, stored)
     }
@@ -180,7 +282,7 @@ impl KeyInterner {
     /// Intern `key`, returning its id and whether the key was **new** to this interner
     /// (`true` on first interning, `false` on a dedup hit). Long-lived sessions use this to
     /// count their distinct abstract states as they go.
-    pub fn intern_new(&self, key: Instance) -> (u64, bool) {
+    pub fn intern_new(&self, key: CanonicalKey) -> (u64, bool) {
         let mut table = self.table.lock();
         if let Some(&id) = table.ids.get(&key) {
             return (id, false);
@@ -188,11 +290,11 @@ impl KeyInterner {
         (table.insert(key).0, true)
     }
 
-    /// Intern `key`, returning its id *and* a shared handle to the stored canonical
-    /// instance. The handle is an `Arc` clone of the interner's own copy, so callers that
-    /// must retain the canonical instance (the explorer's certificate recording) pay one
-    /// reference-count bump instead of cloning the instance.
-    pub fn intern_handle(&self, key: Instance) -> (u64, Arc<Instance>) {
+    /// Intern `key`, returning its id *and* a shared handle to the stored key. The handle
+    /// is an `Arc` clone of the interner's own copy, so callers that must retain the key
+    /// (the explorer's certificate recording) pay one reference-count bump instead of a
+    /// copy.
+    pub fn intern_handle(&self, key: CanonicalKey) -> (u64, Arc<CanonicalKey>) {
         let mut table = self.table.lock();
         if let Some((stored, &id)) = table.ids.get_key_value(&key) {
             return (id, Arc::clone(stored));
@@ -200,8 +302,8 @@ impl KeyInterner {
         table.insert(key)
     }
 
-    /// Estimated heap bytes retained by this interner's keys, charged once per distinct
-    /// key.
+    /// Heap bytes retained by this interner's keys, charged once per distinct key: each
+    /// key's two buffers exactly, plus a fixed allowance for its `Arc` and map entry.
     pub fn heap_bytes(&self) -> usize {
         self.table.lock().bytes
     }
@@ -399,12 +501,59 @@ mod tests {
         assert_ne!(id(run1.configs()[1]), id(run1.configs()[2]));
     }
 
+    /// The key of a configuration over `facts` whose values are all declared constants,
+    /// so the key holds the facts unrelabelled.
+    fn fixed_key(facts: &[(RelName, Vec<DataValue>)]) -> CanonicalKey {
+        let instance = Instance::from_facts(facts.iter().cloned());
+        let constants = instance.active_domain();
+        canonical_config_key(&BConfig::initial(instance), &constants)
+    }
+
+    #[test]
+    fn flat_keys_decode_and_order_like_instances() {
+        // interned in the reverse of text order, so symbol ids and texts disagree
+        let (z, a) = (r("iso_order_z"), r("iso_order_a"));
+        let p = r("iso_order_p");
+        let facts: Vec<Vec<(RelName, Vec<DataValue>)>> = vec![
+            vec![],
+            vec![(p, vec![])],
+            vec![(z, vec![e(1)])],
+            vec![(a, vec![e(1)])],
+            vec![(a, vec![e(1)]), (z, vec![e(1)])],
+            vec![(a, vec![e(2), e(1)]), (a, vec![e(1), e(3)]), (p, vec![])],
+            vec![
+                (a, vec![e(2), e(1)]),
+                (a, vec![e(1), e(3)]),
+                (z, vec![e(3)]),
+            ],
+            vec![(a, vec![e(1), e(3)])],
+        ];
+        let keys: Vec<CanonicalKey> = facts.iter().map(|f| fixed_key(f)).collect();
+        let instances: Vec<Instance> = facts
+            .iter()
+            .map(|f| Instance::from_facts(f.iter().cloned()))
+            .collect();
+        for (key, instance) in keys.iter().zip(&instances) {
+            assert_eq!(&key.to_instance(), instance);
+            assert_eq!(format!("{key:?}"), format!("{instance}"));
+        }
+        for (i, j) in (0..keys.len()).flat_map(|i| (0..keys.len()).map(move |j| (i, j))) {
+            assert_eq!(
+                keys[i].cmp(&keys[j]),
+                instances[i].cmp(&instances[j]),
+                "{i} vs {j}"
+            );
+            assert_eq!(keys[i] == keys[j], i == j);
+        }
+        assert!(keys[3] < keys[2], "names order by text, not by symbol id");
+    }
+
     #[test]
     fn private_interner_is_idempotent_and_concurrent() {
         let interner = KeyInterner::new();
         assert!(interner.is_empty());
-        let a = Instance::from_facts([(r("R"), vec![e(1)])]);
-        let b = Instance::from_facts([(r("R"), vec![e(2)])]);
+        let a = fixed_key(&[(r("R"), vec![e(1)])]);
+        let b = fixed_key(&[(r("R"), vec![e(2)])]);
         let (id_a, fresh) = interner.intern_new(a.clone());
         assert!(fresh);
         assert_eq!(interner.intern_new(a.clone()), (id_a, false));
@@ -418,10 +567,7 @@ mod tests {
                 .map(|_| {
                     s.spawn(|| {
                         (0..64u64)
-                            .map(|i| {
-                                let key = Instance::from_facts([(r("R"), vec![e(i)])]);
-                                interner.intern_new(key).0
-                            })
+                            .map(|i| interner.intern_new(fixed_key(&[(r("R"), vec![e(i)])])).0)
                             .collect()
                     })
                 })
@@ -441,17 +587,25 @@ mod tests {
     fn interner_accounts_bytes_on_fresh_inserts_only() {
         let interner = KeyInterner::new();
         assert_eq!(interner.heap_bytes(), 0);
-        let a = Instance::from_facts([(r("R"), vec![e(1)])]);
+        let a = fixed_key(&[(r("R"), vec![e(1)])]);
+        // one relation entry and one value
+        assert_eq!(
+            a.heap_size(),
+            std::mem::size_of::<(RelName, u32, u32)>() + std::mem::size_of::<u64>()
+        );
         interner.intern_new(a.clone());
-        let after_one = interner.heap_bytes();
-        assert!(after_one > 0, "fresh intern must be charged");
+        assert_eq!(interner.heap_bytes(), a.heap_size() + KEY_ENTRY_BYTES);
         // deduplicated hits are free: no new allocation, no new charge
         interner.intern_new(a.clone());
         interner.intern_handle(a.clone());
-        assert_eq!(interner.heap_bytes(), after_one);
-        // a second distinct key grows the account
-        interner.intern_handle(Instance::from_facts([(r("R"), vec![e(2)])]));
-        assert!(interner.heap_bytes() > after_one);
+        assert_eq!(interner.heap_bytes(), a.heap_size() + KEY_ENTRY_BYTES);
+        // a second distinct key is charged its own buffers
+        let b = fixed_key(&[(r("R"), vec![e(2), e(3)]), (r("p"), vec![])]);
+        interner.intern_handle(b.clone());
+        assert_eq!(
+            interner.heap_bytes(),
+            a.heap_size() + b.heap_size() + 2 * KEY_ENTRY_BYTES
+        );
     }
 
     #[test]
@@ -462,9 +616,10 @@ mod tests {
         cfg.seq_no_mut().assign(e(1), 1);
         let consts = BTreeSet::from([e(42)]);
         let key = canonical_config_key(&cfg, &consts);
-        // e42 stays, e1 is relabelled
-        let adom = key.active_domain();
-        assert!(adom.contains(&e(42)));
-        assert!(!adom.contains(&e(1)));
+        // e42 stays, e1 is relabelled to rank 0
+        assert_eq!(
+            key.to_instance(),
+            Instance::from_facts([(r("R"), vec![e(42), DataValue(RANK_BASE)])])
+        );
     }
 }

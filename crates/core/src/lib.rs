@@ -38,14 +38,12 @@ pub mod transform;
 
 pub use action::{Action, ActionBuilder};
 pub use cancel::CancelToken;
-pub use commit::{
-    safe_certificate, state_digest, state_record, violation_certificate, EdgeMap, StateRecord,
-};
+pub use commit::{safe_certificate, state_record, violation_certificate, EdgeMap, StateRecord};
 pub use config::{BConfig, Config, History, SeqNo};
 pub use dms::{Dms, DmsBuilder};
 pub use error::CoreError;
 pub use fingerprint::{dms_delta, dms_fingerprint, fingerprint, DmsDelta, DmsFingerprint};
-pub use iso::{canonical_config_key, KeyInterner};
+pub use iso::{canonical_config_key, CanonicalKey, KeyInterner};
 pub use rdms_cert as cert;
 pub use recency::{recent_b, RecencySemantics};
 pub use run::{ExtendedRun, Step};

@@ -3,7 +3,6 @@
 use crate::metrics;
 use crate::schema::{RelName, Schema};
 use crate::value::{DataValue, Tuple};
-use parking_lot::Mutex;
 use serde::ser::SerializeStruct;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::collections::btree_map::Entry;
@@ -21,53 +20,28 @@ type ColumnIndex = HashMap<DataValue, Vec<Tuple>>;
 /// [`Instance`]), so every cache is computed at most once per storage node and is reused by
 /// all instances sharing the node:
 ///
-/// * `values` — the sorted distinct data values occurring anywhere in the relation (the
-///   relation's contribution to `adom`),
 /// * `columns` — the sorted distinct values per column position,
 /// * `indexes` — per-column hash indexes from a column's value to the tuples carrying it
-///   there, each built independently on first probe of that column,
-/// * `content_hash` — a hash of the tuple set, making instance hashing O(#relations),
-/// * `canon` — the most recent canonical relabelling of this relation (keyed by where the
-///   relation's values map), so that a relation untouched between a configuration and its
-///   successor is not re-canonicalised when both are interned.
+///   there, each built independently on first probe of that column.
 struct Relation {
     tuples: BTreeSet<Tuple>,
-    values: OnceLock<Vec<DataValue>>,
     columns: OnceLock<Vec<Vec<DataValue>>>,
     /// Outer cell: one slot per column position (sized to the widest tuple on first use).
     /// Inner cells: the column's hash index, built only when that column is probed.
     indexes: OnceLock<Vec<OnceLock<ColumnIndex>>>,
-    content_hash: OnceLock<u64>,
-    canon: Mutex<Option<(Vec<DataValue>, Arc<Relation>)>>,
 }
 
 impl Relation {
     fn from_tuples(tuples: BTreeSet<Tuple>) -> Relation {
         Relation {
             tuples,
-            values: OnceLock::new(),
             columns: OnceLock::new(),
             indexes: OnceLock::new(),
-            content_hash: OnceLock::new(),
-            canon: Mutex::new(None),
         }
     }
 
     fn singleton(tuple: Tuple) -> Relation {
         Relation::from_tuples(BTreeSet::from([tuple]))
-    }
-
-    /// Sorted distinct values occurring anywhere in the relation.
-    fn values(&self) -> &[DataValue] {
-        if let Some(values) = self.values.get() {
-            metrics::count_index_hit();
-            return values;
-        }
-        metrics::count_index_build();
-        self.values.get_or_init(|| {
-            let set: BTreeSet<DataValue> = self.tuples.iter().flatten().copied().collect();
-            set.into_iter().collect()
-        })
     }
 
     /// Sorted distinct values at column `col` (empty when no tuple is that wide).
@@ -138,75 +112,14 @@ impl Relation {
         });
         WithValueAt::Indexed(index.get(&value).map(Vec::as_slice).unwrap_or(&[]).iter())
     }
-
-    /// A hash of the tuple set, cached on the shared storage. Equal tuple sets produce equal
-    /// hashes (same iteration order, same hasher), which is what [`Instance`]'s `Hash` needs.
-    fn content_hash(&self) -> u64 {
-        *self.content_hash.get_or_init(|| {
-            let mut hasher = std::collections::hash_map::DefaultHasher::new();
-            hasher.write_usize(self.tuples.len());
-            for tuple in &self.tuples {
-                tuple.hash(&mut hasher);
-            }
-            hasher.finish()
-        })
-    }
-
-    /// This relation with every value `v` replaced by `mapping[v]` (identity outside the
-    /// mapping), reusing the cached relabelling when the relevant part of the mapping is
-    /// unchanged — the incremental step of canonical-key computation.
-    fn map_values_cached(
-        self: &Arc<Relation>,
-        mapping: &BTreeMap<DataValue, DataValue>,
-    ) -> Arc<Relation> {
-        let values = self.values();
-        // Fast path: the mapping is the identity on every value of this relation.
-        if values
-            .iter()
-            .all(|v| mapping.get(v).is_none_or(|target| target == v))
-        {
-            metrics::count_index_hit();
-            return Arc::clone(self);
-        }
-        let targets: Vec<DataValue> = values
-            .iter()
-            .map(|v| mapping.get(v).copied().unwrap_or(*v))
-            .collect();
-        {
-            let cache = self.canon.lock();
-            if let Some((cached_targets, mapped)) = cache.as_ref() {
-                if *cached_targets == targets {
-                    metrics::count_index_hit();
-                    return Arc::clone(mapped);
-                }
-            }
-        }
-        metrics::count_index_build();
-        let mapped: BTreeSet<Tuple> = self
-            .tuples
-            .iter()
-            .map(|tuple| {
-                tuple
-                    .iter()
-                    .map(|v| mapping.get(v).copied().unwrap_or(*v))
-                    .collect()
-            })
-            .collect();
-        let mapped = Arc::new(Relation::from_tuples(mapped));
-        *self.canon.lock() = Some((targets, Arc::clone(&mapped)));
-        mapped
-    }
 }
 
 impl Relation {
     /// Drop every lazy cache (requires exclusive access). Must precede any mutation of
     /// `tuples` — see [`make_mut`].
     fn reset_caches(&mut self) {
-        self.values = OnceLock::new();
         self.columns = OnceLock::new();
         self.indexes = OnceLock::new();
-        self.content_hash = OnceLock::new();
-        *self.canon.get_mut() = None;
     }
 }
 
@@ -251,8 +164,8 @@ impl<'a> Iterator for WithValueAt<'a> {
 /// tuples over the data domain.
 ///
 /// The representation is deliberately deterministic (`BTreeMap` of sorted tuple sets):
-/// instances are hashed and compared when the checker deduplicates configurations modulo
-/// isomorphism, and tests rely on stable iteration order.
+/// canonical configuration keys and certificate facts are read off it in relation-name and
+/// tuple order, and tests rely on stable iteration order.
 ///
 /// # Copy-on-write sharing
 ///
@@ -260,10 +173,9 @@ impl<'a> Iterator for WithValueAt<'a> {
 /// relation with the original, and a mutation deep-copies only the relation it touches
 /// (clone-on-first-write). A successor configuration produced by an action that updates 1 of
 /// N relations therefore shares the other N−1 with its parent — together with their
-/// lazily-built caches (active-domain values, per-column values, a first-column hash index,
-/// a content hash, and the latest canonical relabelling). The sharing is observable only
-/// through performance and through [`Instance::shared_relations`]; the value semantics is
-/// exactly that of a plain `BTreeMap<RelName, BTreeSet<Tuple>>` (checked by property tests).
+/// lazily-built caches (per-column values and hash indexes). The sharing is observable only through performance and through
+/// [`Instance::shared_relations`]; the value semantics is exactly that of a plain
+/// `BTreeMap<RelName, BTreeSet<Tuple>>` (checked by property tests).
 ///
 /// Following the paper:
 /// * `I₁ + I₂` is relation-wise union ([`Instance::union`]),
@@ -408,14 +320,6 @@ impl Instance {
             .unwrap_or(&[])
     }
 
-    /// The sorted distinct values occurring anywhere in `rel` (cached on the shared storage).
-    pub fn relation_values(&self, rel: RelName) -> &[DataValue] {
-        self.relations
-            .get(&rel)
-            .map(|data| data.values())
-            .unwrap_or(&[])
-    }
-
     /// The number of tuples in relation `rel`.
     pub fn relation_size(&self, rel: RelName) -> usize {
         self.relations
@@ -429,6 +333,13 @@ impl Instance {
         self.relations
             .iter()
             .flat_map(|(&rel, data)| data.tuples.iter().map(move |t| (rel, t)))
+    }
+
+    /// The populated relations with their tuple sets, in relation-name order.
+    pub fn relation_sets(&self) -> impl ExactSizeIterator<Item = (RelName, &BTreeSet<Tuple>)> {
+        self.relations
+            .iter()
+            .map(|(&rel, data)| (rel, &data.tuples))
     }
 
     /// The relation names that have at least one tuple in this instance.
@@ -446,44 +357,16 @@ impl Instance {
         self.relations.is_empty()
     }
 
-    /// The active domain `adom(I)`: every data value occurring in some fact.
-    ///
-    /// Uses a relation's cached value vector when one has already been built, but does not
-    /// *force* the caches: on a freshly materialised relation that is queried once, a direct
-    /// fact scan is cheaper than building the cache it would never reuse.
-    pub fn active_domain(&self) -> BTreeSet<DataValue> {
-        let mut adom = BTreeSet::new();
-        for data in self.relations.values() {
-            match data.values.get() {
-                Some(values) => adom.extend(values.iter().copied()),
-                None => {
-                    for tuple in &data.tuples {
-                        adom.extend(tuple.iter().copied());
-                    }
-                }
-            }
-        }
-        adom
-    }
-
-    /// Whether `value ∈ adom(I)`, i.e. the value occurs in some fact (the paper's
+    /// The active domain `adom(I)`: every data value occurring in some fact (the paper's
     /// `Active(u)` query of Example 2.1 characterises exactly this set).
-    pub fn is_active(&self, value: DataValue) -> bool {
-        self.relations
-            .values()
-            .any(|data| data.values().binary_search(&value).is_ok())
+    pub fn active_domain(&self) -> BTreeSet<DataValue> {
+        self.facts().flat_map(|(_, tuple)| tuple).copied().collect()
     }
 
     /// The largest value in `adom(I)`, if any — answered without materialising the whole
-    /// active domain (and without forcing the per-relation caches).
+    /// active domain.
     pub fn max_value(&self) -> Option<DataValue> {
-        self.relations
-            .values()
-            .filter_map(|data| match data.values.get() {
-                Some(values) => values.last().copied(),
-                None => data.tuples.iter().flatten().max().copied(),
-            })
-            .max()
+        self.facts().flat_map(|(_, tuple)| tuple).max().copied()
     }
 
     /// How many relations of `self` share their storage with `other` (i.e. point at the
@@ -586,29 +469,13 @@ impl Instance {
         }
     }
 
-    /// Rename every data value through `f` (used for isomorphism checks and canonicalisation).
+    /// Rename every data value through `f` (used by the isomorphism checks).
     pub fn map_values<F: Fn(DataValue) -> DataValue>(&self, f: F) -> Instance {
         let mut inst = Instance::new();
         for (rel, tuple) in self.facts() {
             inst.insert(rel, tuple.iter().map(|&v| f(v)).collect());
         }
         inst
-    }
-
-    /// Rename every value through `mapping` (identity outside it), **reusing shared
-    /// storage**: a relation whose values the mapping leaves fixed is shared as-is, and a
-    /// relation relabelled the same way as on the previous call reuses its cached
-    /// relabelling. This is the incremental step behind canonical configuration keys — a
-    /// successor that touched 1 of N relations re-canonicalises at most that one relation
-    /// (plus any whose value *ranks* shifted).
-    pub fn map_values_shared(&self, mapping: &BTreeMap<DataValue, DataValue>) -> Instance {
-        Instance {
-            relations: self
-                .relations
-                .iter()
-                .map(|(&rel, data)| (rel, data.map_values_cached(mapping)))
-                .collect(),
-        }
     }
 
     /// Check every fact's arity against `schema`.
@@ -621,8 +488,8 @@ impl Instance {
 }
 
 impl crate::heap::HeapSize for Relation {
-    /// Charges the primary tuple storage only: the lazy caches (values, columns, indexes,
-    /// content hash, canonical relabelling) are reconstructible, bounded by that storage,
+    /// Charges the primary tuple storage only: the lazy caches (columns, indexes) are
+    /// reconstructible, bounded by that storage,
     /// and dropped on mutation — see the estimation contract in [`crate::heap`].
     fn heap_size(&self) -> usize {
         crate::heap::btree_set_of_tuples(&self.tuples)
@@ -695,13 +562,12 @@ impl Ord for Instance {
 }
 
 impl Hash for Instance {
-    /// Hashes the cached per-relation content hashes, so re-hashing an instance whose
-    /// relations are shared with an already-hashed one is O(#relations), not O(#facts).
+    /// Hashes the `(relation, tuple set)` pairs, as the plain `BTreeMap` would.
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_usize(self.relations.len());
         for (rel, data) in &self.relations {
             rel.hash(state);
-            state.write_u64(data.content_hash());
+            data.tuples.hash(state);
         }
     }
 }
@@ -818,8 +684,7 @@ mod tests {
         ]);
         let adom = i.active_domain();
         assert_eq!(adom, BTreeSet::from([e(1), e(2)]));
-        assert!(i.is_active(e(1)));
-        assert!(!i.is_active(e(3)));
+        assert_eq!(i.max_value(), Some(e(2)));
     }
 
     #[test]
@@ -977,7 +842,6 @@ mod tests {
         // be rebuilt, not served stale (regression test — Arc::make_mut does not clone for
         // a sole owner, so the reset must be explicit)
         let mut i = Instance::from_facts([(r("R"), vec![e(1), e(5)])]);
-        assert!(i.is_active(e(1))); // warms `values`
         assert_eq!(i.column_values(r("R"), 0), &[e(1)]); // warms `columns`
         assert_eq!(i.relation_with_first(r("R"), e(1)).count(), 1);
         let hash = |inst: &Instance| {
@@ -985,23 +849,17 @@ mod tests {
             inst.hash(&mut h);
             h.finish()
         };
-        let _ = hash(&i); // warms `content_hash`
 
         i.insert(r("R"), vec![e(2), e(6)]);
-        assert!(i.is_active(e(2)));
         assert_eq!(i.column_values(r("R"), 0), &[e(1), e(2)]);
-        assert_eq!(i.relation_values(r("R")), &[e(1), e(2), e(5), e(6)]);
+        assert_eq!(i.active_domain(), BTreeSet::from([e(1), e(2), e(5), e(6)]));
         assert_eq!(i.max_value(), Some(e(6)));
         let rebuilt =
             Instance::from_facts([(r("R"), vec![e(1), e(5)]), (r("R"), vec![e(2), e(6)])]);
-        assert_eq!(
-            hash(&i),
-            hash(&rebuilt),
-            "content hash must track the mutation"
-        );
+        assert_eq!(hash(&i), hash(&rebuilt));
 
         i.remove(r("R"), &[e(1), e(5)]);
-        assert!(!i.is_active(e(1)));
+        assert!(!i.active_domain().contains(&e(1)));
         assert_eq!(i.column_values(r("R"), 0), &[e(2)]);
         let rebuilt = Instance::from_facts([(r("R"), vec![e(2), e(6)])]);
         assert_eq!(hash(&i), hash(&rebuilt));
@@ -1022,7 +880,7 @@ mod tests {
         assert_eq!(i.column_values(r("S"), 0), &[e(1), e(2)]);
         assert_eq!(i.column_values(r("S"), 1), &[e(2), e(3)]);
         assert!(i.column_values(r("S"), 2).is_empty());
-        assert_eq!(i.relation_values(r("S")), &[e(1), e(2), e(3)]);
+        assert_eq!(i.active_domain(), BTreeSet::from([e(1), e(2), e(3)]));
     }
 
     #[test]
@@ -1069,25 +927,6 @@ mod tests {
         assert_eq!(i.relation_with_value_at(r("R"), 1, e(0)).count(), 11);
         i.remove(r("R"), &[e(100), e(0)]);
         assert_eq!(i.relation_with_value_at(r("R"), 1, e(0)).count(), 10);
-    }
-
-    #[test]
-    fn map_values_shared_agrees_with_map_values() {
-        let i = Instance::from_facts([
-            (r("R"), vec![e(1), e(2)]),
-            (r("Q"), vec![e(3)]),
-            (r("p"), vec![]),
-        ]);
-        let mapping = BTreeMap::from([(e(1), e(10)), (e(2), e(20))]);
-        let shared = i.map_values_shared(&mapping);
-        let scratch = i.map_values(|v| mapping.get(&v).copied().unwrap_or(v));
-        assert_eq!(shared, scratch);
-        // Q and p are untouched by the mapping: their storage is shared with the original
-        assert_eq!(shared.shared_relations(&i), 2);
-        // a second identical mapping reuses the cached relabelling of R
-        let again = i.map_values_shared(&mapping);
-        assert_eq!(again, scratch);
-        assert_eq!(again.shared_relations(&shared), 3);
     }
 
     #[test]

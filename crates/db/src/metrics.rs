@@ -118,8 +118,8 @@ pub(crate) fn count_materialized() {
     scoped_add(MATERIALIZED, 1);
 }
 
-/// A probe answered through a per-relation index (first-column, per-column values, or the
-/// canonical-fragment cache).
+/// A probe answered through a per-relation index (active-domain values, per-column values
+/// or a column's hash index).
 pub(crate) fn count_index_hit() {
     scoped_add(HITS, 1);
 }

@@ -196,6 +196,46 @@ fn deeply_nested_json_is_malformed_not_fatal() {
     ));
 }
 
+/// An `Open` whose DMS fails validation is `malformed-frame`, naming the failure, and the
+/// connection goes on: here `R/1` with `I₀ = {R(initial)}`, the declared `constants` and an
+/// action adding `R(v)` for a fresh `v`. A constant at the canonical rank base would let a
+/// fresh value's canonical name collide with it and merge two distinct states.
+#[test]
+fn invalid_systems_are_malformed_not_fatal() {
+    let open = |constants: &[u64], initial: u64| {
+        format!(
+            r#"{{"Open":{{"version":{PROTOCOL_VERSION},"dms":{{"schema":{{"arities":{{"R":1}}}},
+            "initial":{{"relations":{{"R":[[{initial}]]}}}},"actions":[{{"name":"add",
+            "params":[],"fresh":["v"],"guard":"True","del":{{"facts":{{}}}},
+            "add":{{"facts":{{"R":[[{{"Var":"v"}}]]}}}}}}],"constants":{constants:?}}},
+            "bound":2,"invariant":"true","emit_certificates":false}}}}"#
+        )
+        .into_bytes()
+    };
+    let base = u64::MAX / 2;
+    for (payload, why) in [
+        (open(&[base], base), "canonical states"),
+        (open(&[], 7), "not a declared constant"),
+    ] {
+        let (mut stream, mut replies) = connect();
+        match raw_turn(&mut stream, &mut replies, &payload) {
+            Some(Response::Rejected { code, message }) => {
+                assert_eq!(code, "malformed-frame");
+                assert!(message.contains(why), "{message}");
+            }
+            other => panic!("expected malformed-frame, got {other:?}"),
+        }
+        protocol::write_message(&mut stream, &Request::Ping).expect("write");
+        assert_eq!(next_response(&mut replies), Some(Response::Pong));
+    }
+    // one below the rank base is a valid constant
+    let (mut stream, mut replies) = connect();
+    assert!(matches!(
+        raw_turn(&mut stream, &mut replies, &open(&[base - 1], base - 1)),
+        Some(Response::Opened { .. })
+    ));
+}
+
 /// An invariant nested past the query parser's bound is `bad-invariant`, and the
 /// connection goes on; one at the bound opens a session that checks transactions.
 #[test]

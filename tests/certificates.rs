@@ -81,6 +81,35 @@ fn inventory_certificates_verify() {
     cert.verify().expect("inventory Violation certificate");
 }
 
+/// The Safe certificate of `reserved_items_are_off_the_shelf` on the inventory with two
+/// items and three permits, pinned byte for byte: state count, JSON size and commitment.
+/// Any change to canonical keys, digests or the wire encoding shows here first.
+#[test]
+fn inventory_safe_certificates_are_pinned() {
+    let dms = inventory::finite_dms(2, 3);
+    let invariant = inventory::reserved_items_are_off_the_shelf();
+    for (b, states, bytes, commitment) in [
+        (3, 434, 121_742, 0x0c0a_e5d2_b48f_a566_u64),
+        (4, 522, 153_791, 0xde10_c781_af2a_20a5),
+    ] {
+        let verdict = Explorer::new(&dms, b)
+            .with_config(emitting(32, 500_000))
+            .run(invariant.clone());
+        assert!(verdict.holds());
+        let cert = verdict.certificate().expect("a Safe certificate");
+        let CertVerdict::Safe {
+            states: entries,
+            commitment: root,
+        } = &cert.verdict
+        else {
+            panic!("expected a Safe certificate at b = {b}");
+        };
+        assert_eq!(entries.len(), states, "b = {b}");
+        assert_eq!(cert.to_json().len(), bytes, "b = {b}");
+        assert_eq!(*root, commitment, "b = {b}: {root:#018x}");
+    }
+}
+
 #[test]
 fn booking_certificates_verify() {
     let config = booking::BookingConfig {

@@ -404,7 +404,6 @@ proptest! {
             };
             // warm the lazy caches before every operation, so a mutation that failed to
             // invalidate them would surface in the model comparisons below
-            let _ = instance.is_active(DataValue(a));
             let _ = instance.relation_with_first(rel, DataValue(a)).count();
             let _ = instance.column_values(rel, 0);
             match op {
@@ -446,20 +445,22 @@ proptest! {
         }
     }
 
-    /// The incremental canonical key (per-relation cached relabelling) equals from-scratch
-    /// canonicalisation on every configuration of random b-bounded runs, and recomputing a
-    /// key (cache-warm path) is stable.
+    /// The flat canonical key decodes to the from-scratch relabelling of each configuration
+    /// of random b-bounded runs, and over every pair of those configurations its order is
+    /// the decoded instances' order, its equality theirs, and equal keys hash equal.
     #[test]
-    fn incremental_canonical_keys_match_scratch(seed in 0u64..2_000, b in 1usize..4, steps in 0usize..7) {
+    fn flat_canonical_keys_match_scratch(seed in 0u64..2_000, b in 1usize..4, steps in 0usize..7) {
+        use rdms::core::cert::RANK_BASE;
         use rdms::core::iso::canonical_config_key;
+        use std::hash::{DefaultHasher, Hash, Hasher};
         let dms = random_dms(&RandomDmsConfig { seed: seed % 13, ..Default::default() });
         let run = random_run(&dms, b, steps, seed);
         let constants = dms.constants();
+        let mut keys = Vec::new();
         for config in run.configs() {
             let key = canonical_config_key(config, constants);
-            // the from-scratch reference: same rank mapping, uncached relabelling
+            // the from-scratch reference: the same rank mapping through `map_values`
             let mut mapping = std::collections::BTreeMap::new();
-            const RANK_BASE: u64 = u64::MAX / 2;
             for (rank, value) in config
                 .adom_by_recency()
                 .into_iter()
@@ -469,9 +470,24 @@ proptest! {
                 mapping.insert(value, DataValue(RANK_BASE + rank as u64));
             }
             let scratch = config.instance().map_values(|v| mapping.get(&v).copied().unwrap_or(v));
-            prop_assert_eq!(&key, &scratch, "incremental key diverges from scratch canonicalisation");
-            let again = canonical_config_key(config, constants);
-            prop_assert_eq!(&again, &scratch, "cache-warm recomputation diverges");
+            prop_assert_eq!(key.to_instance(), scratch, "flat key diverges from scratch canonicalisation");
+            prop_assert_eq!(&canonical_config_key(config, constants), &key, "recomputation diverges");
+            keys.push(key);
+        }
+        let hash = |key: &rdms::core::CanonicalKey| {
+            let mut h = DefaultHasher::new();
+            key.hash(&mut h);
+            h.finish()
+        };
+        for a in &keys {
+            for b in &keys {
+                let (left, right) = (a.to_instance(), b.to_instance());
+                prop_assert_eq!(a.cmp(b), left.cmp(&right));
+                prop_assert_eq!(a == b, left == right);
+                if a == b {
+                    prop_assert_eq!(hash(a), hash(b));
+                }
+            }
         }
     }
 }
